@@ -4,11 +4,9 @@ Subcommands run one stage each (``modes``, ``bands``, ``dynamics``,
 ``steady``, ``spectrum``) or a whole dependency-ordered run (``pipeline``).
 Global flags select the parameter source: a regime preset, a JSON config
 file, and repeatable ``--param key=value`` overrides, applied in that order
-of increasing precedence, plus the reduced/full geometry scale.
-
-``--threads`` pins the BLAS/OpenMP thread pools by setting the standard
-environment variables before any numerical module is imported, so it must
-be handled here, ahead of the heavy imports that happen inside ``main``.
+of increasing precedence, plus the reduced/full geometry scale.  BLAS and
+OpenMP thread counts are set in the environment (``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS``) before the interpreter starts.
 """
 
 from __future__ import annotations
@@ -17,26 +15,11 @@ import argparse
 import os
 import sys
 
+from .params import build_params
+from .pipeline import StageError, run_pipeline
+
 PRESET_NAMES = ("eq-strong", "eq-weak", "eq-lossy", "noneq")
-THREAD_ENV_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
 INTEGRATOR_METHODS = ("exponential-diagonal", "adaptive-explicit")
-
-
-def _pin_threads(argv: list[str]) -> None:
-    value = None
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            value = argv[i + 1]
-        elif arg.startswith("--threads="):
-            value = arg.split("=", 1)[1]
-    if value is not None and value.isdigit():
-        for var in THREAD_ENV_VARS:
-            os.environ[var] = value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,11 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--out-dir", default="runs", help="directory for output files and cache"
-    )
-    common.add_argument(
-        "--threads",
-        type=int,
-        help="pin BLAS/OpenMP thread count (set before numerics load)",
     )
 
     parser = argparse.ArgumentParser(
@@ -153,14 +131,7 @@ def _add_spectrum_flags(p: argparse.ArgumentParser) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    _pin_threads(argv)
     args = build_parser().parse_args(argv)
-
-    # heavy imports deferred until after the thread pools are pinned
-    from .params import build_params
-    from .pipeline import StageError, run_pipeline
-
     try:
         params = build_params(args.config, args.preset, args.param, args.scale)
     except (KeyError, ValueError) as exc:

@@ -11,8 +11,11 @@ the Lorentzian overlap L_nk = [1 + (omega_n - Omega_k)^2/gamma^2]^-1:
 g_p = N_j g_a exactly, which makes the interaction part of
 sum_k N_k + N_j sum_n n_e a conserved quantity.
 
-All reductions go through einsum's fixed-order single-thread path so results
-are bit-identical across BLAS thread settings.
+The reductions in rhs, affine_coefficients and quasi_steady_photon go
+through einsum's fixed-order single-thread path, so these kernels are
+bit-identical across BLAS thread settings.  The steady solver's dense
+Jacobian product and LU factorization go through BLAS/LAPACK, so a steady
+state is bit-reproducible only at a fixed thread count.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ class CouplingTables:
     omega_atoms: np.ndarray
     omega_modes: np.ndarray
     gamma_conf: np.ndarray
-    L: np.ndarray
     W: np.ndarray
     WT: np.ndarray = field(repr=False)
     W_rowsum: np.ndarray = field(repr=False)
@@ -96,7 +98,6 @@ def build_tables(
         omega_atoms=om_a,
         omega_modes=om_m,
         gamma_conf=gam,
-        L=L,
         W=W,
         WT=np.ascontiguousarray(W.T),
         W_rowsum=np.einsum("nk->n", W, optimize=False),

@@ -268,7 +268,28 @@ def stage_steady(ctx: RunContext) -> list[Path]:
     else:
         guess = steady.seed_guess(t)
         seed_kind = "analytic"
-    result = steady.solve_steady(guess, t, tol=float(opts.get("tol", 1e-10)))
+    tol = float(opts.get("tol", 1e-10))
+    result = steady.solve_steady(guess, t, tol=tol)
+    metrics = ctx.manifest.metrics["steady"] = {
+        "converged": bool(result.converged),
+        "residual_norm": float(result.residual_norm),
+        "newton": result.iterations.get("newton", 0),
+        "krylov": result.iterations.get("krylov", 0),
+        "seed": seed_kind,
+    }
+    if not result.converged:
+        # the best state is kept for inspection under a name that does not
+        # claim a fixed point; steady-*.csv from an earlier run are removed so
+        # that a later stage cannot read them as this run's result
+        for name in ("steady-modes.csv", "steady-atoms.csv", "steady-state.csv"):
+            (ctx.out_dir / name).unlink(missing_ok=True)
+        best =_write_state(ctx, ctx.out_dir / "unconverged-state.csv", result.state)
+        ctx.manifest.outputs["steady"] = [best.name]
+        metrics["error"] = (
+            f"did not converge: scaled residual {result.residual_norm:.3e} >= tol "
+            f"{tol:.3e} after {metrics['newton']} Newton steps; best state in {best.name}"
+        )
+        raise StageError(f"stage 'steady' {metrics['error']}")
     n_e, photons = t.split(result.state)
     mode_csv = write_csv(
         ctx.out_dir / "steady-modes.csv",
@@ -287,13 +308,6 @@ def stage_steady(ctx: RunContext) -> list[Path]:
     )
     state_csv = _write_state(ctx, ctx.out_dir / "steady-state.csv", result.state)
     ctx.final_state = result.state
-    ctx.manifest.metrics["steady"] = {
-        "converged": bool(result.converged),
-        "residual_norm": float(result.residual_norm),
-        "newton": result.iterations.get("newton", 0),
-        "krylov": result.iterations.get("krylov", 0),
-        "seed": seed_kind,
-    }
     return [mode_csv, atom_csv, state_csv]
 
 

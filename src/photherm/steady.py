@@ -1,22 +1,15 @@
-"""Matrix-free Newton-Krylov solver for fixed points of the kinetic equations.
+"""Dense Newton solver for fixed points of the kinetic equations.
 
-Finds states where the coupled electron/photon rate equations vanish without
-ever assembling the full Jacobian.  Directional derivatives use central
-differences of the right-hand side, which are exact here because the rate
-equations are bilinear in the state (the quadratic remainder cancels and
-there are no higher-order terms).  The linear Newton systems are solved by
-restarted GMRES with a block lower-triangular preconditioner that captures
-the dominant electron-to-photon coupling, and a backtracking line search
-with simplex projection keeps iterates physical.
-
-Near electron saturation the full system becomes so non-normal that no
-descent direction has a usable step length (the photon equations' own
-diagonal nearly vanishes while their coupling to the electrons grows with
-the photon number).  When the full-system line search stalls, the solver
-switches to an exact reduction: the photon block is linear in the photon
-numbers at frozen occupations, so it is eliminated analytically and Newton
-runs on the dense electron-only system, which is small (the atom grid) and
-well conditioned.  Convergence is always certified on the full system.
+Finds states where the coupled electron/photon rate equations vanish.  The
+photon block is linear in the photon numbers at frozen occupations, so the
+photons are eliminated exactly (a Schur complement of the Jacobian's
+diagonal photon block) and Newton runs on the dense electron-only system,
+whose size is the atom grid rather than the atom grid plus every cavity
+mode.  This stays well conditioned near electron saturation, where the full
+system becomes too non-normal for a usable descent direction.  A
+backtracking line search accepts a step only when the residual of the full
+system strictly decreases, so convergence is always certified on the full
+system.
 
 Convergence is measured by a dimensionless residual: the Euclidean norm of
 the right-hand side divided by the state norm times the fastest rate in the
@@ -28,15 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .kinetics import CouplingTables, affine_coefficients, quasi_steady_photon, rhs
 
 MAX_NEWTON_STEPS = 50
 MAX_HALVINGS = 10
-GMRES_RESTART = 50
-GMRES_MAX_OUTER = 6
-GMRES_RTOL = 1e-2
 ELECTRON_GUESS_CAP = 0.499
 
 
@@ -46,12 +35,11 @@ class SteadyResult:
 
     ``state`` is the flat state vector (electron occupations followed by
     photon numbers), ``residual_norm`` the dimensionless scaled residual at
-    that state, ``iterations`` a dict with ``newton`` steps accepted (over
-    both the full-system and reduced-system phases) and ``krylov``
-    right-hand-side evaluations spent inside the linear solves,
-    ``converged`` whether the scaled residual dropped below tolerance, and
-    ``history`` the scaled residual at the start plus after every accepted
-    Newton step (strictly decreasing by construction of the line search).
+    that state, ``iterations`` a dict with the number of ``newton`` steps
+    accepted, ``converged`` whether the scaled residual dropped below
+    tolerance, and ``history`` the scaled residual at the start plus after
+    every accepted Newton step (strictly decreasing by construction of the
+    line search).
     """
 
     state: np.ndarray
@@ -98,15 +86,9 @@ def seed_guess(tables: CouplingTables) -> np.ndarray:
     return tables.pack(n_e, photons)
 
 
-def _guarded_inverse(diag: np.ndarray) -> np.ndarray:
-    """Invert a Jacobian diagonal, replacing near-zero entries by -scale."""
-    scale = max(float(np.max(np.abs(diag))), 1e-300)
-    return 1.0 / np.where(np.abs(diag) > 1e-12 * scale, diag, -scale)
-
-
 def _reduced_system(
     n_e: np.ndarray, tables: CouplingTables
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Electron residual and dense Jacobian after exact photon elimination.
 
     With photons at their conditional fixed point N*(n), the remaining
@@ -125,51 +107,7 @@ def _reduced_system(
     dphoton = (tables.g_photon * (1.0 + 2.0 * photons) / denom)[:, None] * tables.WT
     coupling = -tables.g_atom * (2.0 * n_e - 1.0)[:, None] * tables.W
     jacobian = np.diag(a_e) + coupling @ dphoton
-    return y, residual, jacobian
-
-
-def _reduced_newton(
-    state: np.ndarray,
-    res: float,
-    tables: CouplingTables,
-    tol: float,
-    budget: int,
-    history: list,
-    counters: dict,
-) -> tuple[np.ndarray, float]:
-    """Dense Newton on the photon-eliminated system; monotone in the full
-    scaled residual, so it can only improve on the state it is handed."""
-    n_e = state[: tables.n_freqs].copy()
-    for _ in range(budget):
-        if res < tol:
-            break
-        try:
-            _, residual, jacobian = _reduced_system(n_e, tables)
-            delta = np.linalg.solve(jacobian, -residual)
-        except (ValueError, np.linalg.LinAlgError):
-            break
-        if not np.all(np.isfinite(delta)):
-            break
-        step = 1.0
-        improved = False
-        for _ in range(MAX_HALVINGS):
-            trial_n = np.clip(n_e + step * delta, 0.0, 1.0)
-            try:
-                trial_y = tables.pack(trial_n, quasi_steady_photon(trial_n, tables))
-            except ValueError:
-                step *= 0.5
-                continue
-            trial_res = scaled_residual(trial_y, tables)
-            if trial_res < res:
-                n_e, state, res = trial_n, trial_y, trial_res
-                counters["newton"] += 1
-                history.append(res)
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-    return state, res
+    return residual, jacobian
 
 
 def solve_steady(
@@ -178,20 +116,16 @@ def solve_steady(
     tol: float = 1e-10,
     max_newton: int = MAX_NEWTON_STEPS,
 ) -> SteadyResult:
-    """Newton-Krylov solve of rhs(state) = 0 starting from ``guess``.
+    """Newton solve of rhs(state) = 0 starting from ``guess``.
 
-    Jacobian-vector products are central differences with probe scale
-    (1 + ||state||) / ||direction||, exact for this bilinear right-hand
-    side; each Newton system is solved by restarted GMRES (restart 50,
-    relative tolerance 1e-2, capped outer sweeps) with a block
-    lower-triangular preconditioner built from the exact Jacobian
-    diagonals and the electron-to-photon coupling block.  Trial updates
-    are projected onto the simplex and accepted only when the scaled
-    residual strictly decreases, halving the step at most ten times.
-    If the full-system line search stalls, the remaining Newton budget
-    goes to dense Newton on the photon-eliminated electron system (see
-    the module docstring); exhausting every phase returns the best state
-    found, flagged unconverged.
+    The guess is projected onto the simplex; each step then solves the
+    dense photon-eliminated electron system (see the module docstring) by
+    LU and moves the occupations, with photons following at their
+    conditional fixed point.  A trial step is accepted only when the full
+    scaled residual strictly decreases, halving the step at most ten
+    times.  A singular Jacobian, inverted gain at the current occupations,
+    a stalled line search or an exhausted step budget returns the best
+    state found, flagged unconverged.
     """
     guess = np.asarray(guess, dtype=float)
     n_total = tables.n_freqs + tables.n_modes
@@ -203,88 +137,37 @@ def solve_steady(
         raise ValueError("tol must be positive")
 
     state = _project(guess, tables.n_freqs)
+    n_e = state[: tables.n_freqs]
     res = scaled_residual(state, tables)
     history = [res]
-    counters = {"newton": 0, "krylov": 0}
-    n_freqs = tables.n_freqs
-    stalled = False
-
     for _ in range(max_newton):
         if res < tol:
-            return SteadyResult(
-                state=state,
-                residual_norm=res,
-                iterations=counters,
-                converged=True,
-                history=history,
-            )
-
-        r0 = rhs(state, tables)
-        base_norm = 1.0 + float(np.linalg.norm(state))
-
-        def jvp(v: np.ndarray) -> np.ndarray:
-            vnorm = float(np.linalg.norm(v))
-            if vnorm == 0.0:
-                return np.zeros_like(v)
-            eps = base_norm / vnorm
-            counters["krylov"] += 2
-            forward = rhs(state + eps * v, tables)
-            backward = rhs(state - eps * v, tables)
-            return (forward - backward) / (2.0 * eps)
-
-        a_e, _, a_p, _ = affine_coefficients(state, tables)
-        inv_e = _guarded_inverse(a_e)
-        inv_p = _guarded_inverse(a_p)
-        photon_coupling = tables.g_photon * (2.0 * state[n_freqs:] + 1.0)
-
-        def apply_preconditioner(v: np.ndarray) -> np.ndarray:
-            x_e = v[:n_freqs] * inv_e
-            x_p = (v[n_freqs:] - photon_coupling * (tables.WT @ x_e)) * inv_p
-            return np.concatenate([x_e, x_p])
-
-        op = LinearOperator((n_total, n_total), matvec=jvp, dtype=float)
-        precond = LinearOperator(
-            (n_total, n_total), matvec=apply_preconditioner, dtype=float
-        )
-        delta, _ = gmres(
-            op,
-            -r0,
-            M=precond,
-            rtol=GMRES_RTOL,
-            atol=0.0,
-            restart=GMRES_RESTART,
-            maxiter=GMRES_MAX_OUTER,
-        )
-        if not np.all(np.isfinite(delta)) or not np.any(delta):
-            stalled = True
             break
-
-        step = 1.0
-        improved = False
-        for _ in range(MAX_HALVINGS):
-            trial = _project(state + step * delta, tables.n_freqs)
+        try:
+            residual, jacobian = _reduced_system(n_e, tables)
+            delta = np.linalg.solve(jacobian, -residual)
+        except (ValueError, np.linalg.LinAlgError):
+            break
+        if not np.all(np.isfinite(delta)):
+            break
+        for halving in range(MAX_HALVINGS):
+            trial_n = np.clip(n_e + 0.5**halving * delta, 0.0, 1.0)
+            try:
+                trial = tables.pack(trial_n, quasi_steady_photon(trial_n, tables))
+            except ValueError:
+                continue
             trial_res = scaled_residual(trial, tables)
             if trial_res < res:
-                state, res = trial, trial_res
-                improved = True
-                counters["newton"] += 1
-                history.append(res)
                 break
-            step *= 0.5
-        if not improved:
-            stalled = True
+        else:
             break
-
-    if stalled and res >= tol:
-        budget = max(max_newton - counters["newton"], 0)
-        state, res = _reduced_newton(
-            state, res, tables, tol, budget, history, counters
-        )
+        n_e, state, res = trial_n, trial, trial_res
+        history.append(res)
 
     return SteadyResult(
         state=state,
         residual_norm=res,
-        iterations=counters,
+        iterations={"newton": len(history) - 1},
         converged=res < tol,
         history=history,
     )

@@ -7,13 +7,12 @@ wall-clock metrics legitimately vary).
 """
 
 import json
-import os
 
 import numpy as np
 import pytest
 
 from photherm import __version__
-from photherm.cli import _pin_threads, build_parser, main
+from photherm.cli import build_parser, main
 from photherm.csvio import read_csv
 
 FAST = [
@@ -162,6 +161,25 @@ class TestSingleCommands:
         assert cols["omega"].size == 64
         assert float(meta["gamma_d"]) == 1e12
 
+    def test_unconverged_steady_exits_1_without_steady_files(self, tmp_path, capsys):
+        args = ["steady", "--out-dir", str(tmp_path), "--preset", "eq-strong",
+                "--scale", "reduced"]
+        assert main(args) == 0
+        assert (tmp_path / "steady-state.csv").exists()
+        capsys.readouterr()
+        code = main(args + ["--tol", "1e-30"])
+        assert code == 1
+        assert "did not converge" in capsys.readouterr().err
+        assert not list(tmp_path.glob("steady-*.csv"))
+        assert (tmp_path / "unconverged-state.csv").exists()
+        steady = json.loads((tmp_path / "run-manifest.json").read_text())["metrics"]["steady"]
+        assert steady["converged"] is False
+        assert 0.0 < steady["residual_norm"] < 1e-10
+        # the earlier run's state is gone, so spectrum cannot pick it up
+        assert main(["spectrum", "--out-dir", str(tmp_path), "--preset", "eq-strong",
+                     "--scale", "reduced"]) == 1
+        assert "no input state" in capsys.readouterr().err
+
     def test_spectrum_without_state_fails_cleanly(self, tmp_path):
         code = main(["spectrum", "--out-dir", str(tmp_path), "--preset", "eq-strong",
                      "--scale", "reduced"])
@@ -200,13 +218,3 @@ class TestArgumentHandling:
         code = main(["modes", "--out-dir", str(tmp_path), "--param", "temperature=-4"])
         assert code == 2
         assert "bad parameters" in capsys.readouterr().err
-
-    def test_threads_flag_pins_environment(self, monkeypatch):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        _pin_threads(["pipeline", "--threads", "3"])
-        assert os.environ["OMP_NUM_THREADS"] == "3"
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
-        _pin_threads(["--threads=5"])
-        assert os.environ["MKL_NUM_THREADS"] == "5"

@@ -27,10 +27,15 @@ def pair_tables(omega=9.43e13, conf=0.76, **overrides) -> kinetics.CouplingTable
     )
 
 
+def overlap(t: kinetics.CouplingTables) -> np.ndarray:
+    """Lorentzian overlap L_nk recovered from W by removing the mode weights."""
+    return t.W / (t.omega_modes * t.gamma_conf)
+
+
 class TestBuildTables:
     def test_resonance_weight_is_one(self):
         t = pair_tables()
-        assert t.L[0, 0] == 1.0
+        assert overlap(t)[0, 0] == 1.0
 
     def test_half_weight_at_one_linewidth(self):
         p = PhysicalParams()
@@ -40,10 +45,10 @@ class TestBuildTables:
             np.array([2.0e14 + p.dephasing_rate]),
             p,
         )
-        assert t.L[0, 0] == pytest.approx(0.5, rel=1e-14)
+        assert overlap(t)[0, 0] == pytest.approx(0.5, rel=1e-14)
 
     def test_weights_in_unit_interval_and_detuning_symmetric(self, reduced_tables):
-        L = reduced_tables.L
+        L = overlap(reduced_tables)
         assert np.all(L > 0.0) and np.all(L <= 1.0)
         om_a = reduced_tables.omega_atoms
         om_m = reduced_tables.omega_modes
@@ -68,7 +73,7 @@ class TestBuildTables:
             reduced_tables.omega_modes < 3.0e14
         )
         om_mid = reduced_tables.omega_modes[mid]
-        sums = np.einsum("nk->k", reduced_tables.L, optimize=False)[mid]
+        sums = np.einsum("nk->k", overlap(reduced_tables), optimize=False)[mid]
         windowed = (gamma / delta) * (
             np.arctan((om_a[-1] - om_mid) / gamma)
             + np.arctan((om_mid - om_a[0]) / gamma)
@@ -77,11 +82,14 @@ class TestBuildTables:
         coarse = np.pi * gamma / delta
         assert np.all(np.abs(sums / coarse - 1.0) < 0.3)
 
-    def test_w_is_confinement_weighted(self, reduced_tables):
-        expect = reduced_tables.L * (
-            reduced_tables.omega_modes * reduced_tables.gamma_conf
+    def test_w_is_confinement_weighted(self, reduced_tables, reduced_params):
+        t = reduced_tables
+        detune = (t.omega_atoms[:, None] - t.omega_modes[None, :]) / (
+            reduced_params.dephasing_rate
         )
-        assert np.array_equal(reduced_tables.W, expect)
+        lorentzian = 1.0 / (1.0 + detune**2)
+        expect = lorentzian * (t.omega_modes * t.gamma_conf)
+        assert np.array_equal(t.W, expect)
 
     def test_cutoff_validation(self):
         p = PhysicalParams()
@@ -107,7 +115,7 @@ class TestBuildTables:
         conf = np.full(om_m.size, 0.3)
         dense = kinetics.build_tables(om_m, conf, om_a, p)
         sparse = kinetics.build_tables(om_m, conf, om_a, p, cutoff=1e-6)
-        assert np.count_nonzero(sparse.L == 0.0) > 0
+        assert np.count_nonzero(sparse.W == 0.0) > 0
         rng = np.random.default_rng(3)
         y = np.concatenate(
             [rng.uniform(0, 1, om_a.size), rng.uniform(0, 10, om_m.size)]
