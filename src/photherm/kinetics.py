@@ -153,11 +153,6 @@ def affine_coefficients(
     return a_e, b_e, a_p, b_p
 
 
-def jacobian_diagonal(y: np.ndarray, tables: CouplingTables) -> np.ndarray:
-    a_e, _, a_p, _ = affine_coefficients(y, tables)
-    return np.concatenate([a_e, a_p])
-
-
 def total_excitation(y: np.ndarray, tables: CouplingTables) -> float:
     """Conserved count sum_k N_k + N_j sum_n n_e (exact when loss-free)."""
     n, N = tables.split(y)

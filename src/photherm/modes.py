@@ -7,12 +7,16 @@ plane leaves u continuous and jumps the derivative:
 
     u'(z_i+) - u'(z_i-) = -q^2 * eta * u(z_i)
 
-Eigenfrequencies are found by shooting from z = 0 and bracketing sign changes
-of a normalized boundary mismatch. The working pair is (u, w) with
-w = u' / q, so free propagation is a pure rotation by q*d and a plane
-crossing is the shear w -> w - q*eta*u; the pair stays O(1) up to the
-accumulated shear factors, which fit comfortably in double precision for all
-supported plane strengths.
+The working pair is (u, w) with w = u' / q, shot from z = 0 with
+(u, w) = (0, 1): free propagation is a pure rotation by q*d and a plane
+crossing is the shear w -> w - q*eta*u. Eigenfrequencies are found by
+Sturm-count bisection: the Pruefer phase of (u, w) at z = L gives the exact
+number of eigenfrequencies below any frequency (`count_below`), and every
+root is bisected on that count alone, all roots in one vectorized pass
+(`scan_eigenfrequencies`). The normalization and the peak count propagate
+the pair itself, which stays O(1) up to the accumulated shear factors;
+these fit comfortably in double precision for all supported plane
+strengths.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import SPEED_OF_LIGHT as C
 from .params import PhysicalParams
@@ -114,45 +117,8 @@ class ModeTable:
 
 
 # ----------------------------------------------------------------------
-# shooting
+# census: Sturm count and bisection
 # ----------------------------------------------------------------------
-
-
-def mismatch(omega: float, params: PhysicalParams) -> float:
-    """Normalized boundary defect u(L)/|(u, w)(L)| for a single frequency."""
-    q = omega / C
-    eta = params.plane_strength
-    u, w = 0.0, 1.0
-    prev = 0.0
-    for z in params.plane_positions:
-        phi = q * (z - prev)
-        cp, sp = math.cos(phi), math.sin(phi)
-        u, w = u * cp + w * sp, -u * sp + w * cp
-        w -= q * eta * u
-        prev = z
-    phi = q * (params.cavity_length - prev)
-    cp, sp = math.cos(phi), math.sin(phi)
-    u, w = u * cp + w * sp, -u * sp + w * cp
-    return u / math.hypot(u, w)
-
-
-def mismatch_grid(omega: np.ndarray, params: PhysicalParams) -> np.ndarray:
-    """Vectorized `mismatch` over an array of frequencies."""
-    q = np.asarray(omega, dtype=float) / C
-    eta = params.plane_strength
-    u = np.zeros_like(q)
-    w = np.ones_like(q)
-    prev = 0.0
-    for z in params.plane_positions:
-        phi = q * (z - prev)
-        cp, sp = np.cos(phi), np.sin(phi)
-        u, w = u * cp + w * sp, -u * sp + w * cp
-        w = w - q * eta * u
-        prev = z
-    phi = q * (params.cavity_length - prev)
-    cp, sp = np.cos(phi), np.sin(phi)
-    u, w = u * cp + w * sp, -u * sp + w * cp
-    return u / np.hypot(u, w)
 
 
 def count_below(omega, params: PhysicalParams) -> np.ndarray:
@@ -194,11 +160,15 @@ def scan_eigenfrequencies(
 ) -> np.ndarray:
     """All eigenfrequencies in (0, omega_max], refined to ROOT_RTOL.
 
-    The scan grid spacing is `spacing_factor` times the empty-cavity mode
-    spacing pi*c/L. Completeness does not rest on the grid: the exact
-    oscillation count assigns each cell its number of roots, cells holding
-    several (near-degenerate pairs at band edges) are bisected until each
-    root is isolated, and every isolated root is refined by bracketing.
+    The exact oscillation count on a scan grid (spacing `spacing_factor`
+    times the empty-cavity mode spacing pi*c/L) numbers the roots and gives
+    the k-th root (1-based) the grid cell with count(lo) < k <= count(hi)
+    as its bracket. All brackets are then bisected together on the count
+    alone: each pass evaluates `count_below` once at the midpoints of the
+    brackets still wider than ROOT_RTOL * hi and keeps the half that holds
+    the k-th root. Completeness does not rest on the grid, and roots
+    sharing a cell (near-degenerate pairs at band edges) separate as soon
+    as a midpoint falls between them.
     """
     if omega_max is None:
         omega_max = params.omega_max
@@ -208,36 +178,17 @@ def scan_eigenfrequencies(
     if edges.size < 2:
         return np.empty(0)
     counts = count_below(edges, params)
-
-    f = lambda om: mismatch(om, params)
-    roots = []
-    # cells pending isolation: (lo, hi, n_roots_inside)
-    stack = [
-        (edges[i], edges[i + 1], int(counts[i + 1] - counts[i]))
-        for i in np.nonzero(np.diff(counts) > 0)[0]
-    ]
-    while stack:
-        lo, hi, n = stack.pop()
-        if n == 1:
-            flo, fhi = f(lo), f(hi)
-            if flo == 0.0 or fhi == 0.0 or flo * fhi > 0.0:
-                # root pinned at (or within fp noise of) a cell edge
-                roots.append(lo if abs(flo) <= abs(fhi) else hi)
-            else:
-                roots.append(brentq(f, lo, hi, rtol=ROOT_RTOL, xtol=1e-3))
-            continue
-        mid = 0.5 * (lo + hi)
-        # a pair split more finely than fp resolution is degenerate for all
-        # downstream purposes: report the midpoint with multiplicity
-        if hi - lo < max(1e-3, 16.0 * np.finfo(float).eps * hi) or not lo < mid < hi:
-            roots.extend([mid] * n)
-            continue
-        n_lo = int(count_below(mid, params)[0] - count_below(lo, params)[0])
-        if n_lo > 0:
-            stack.append((lo, mid, n_lo))
-        if n - n_lo > 0:
-            stack.append((mid, hi, n - n_lo))
-    return np.array(sorted(roots))
+    k = np.arange(1, counts[-1] + 1)
+    cell = np.searchsorted(counts, k) - 1
+    lo, hi = edges[cell], edges[cell + 1]
+    while True:
+        wide = np.flatnonzero(hi - lo > ROOT_RTOL * hi)
+        if wide.size == 0:
+            return 0.5 * (lo + hi)
+        mid = 0.5 * (lo[wide] + hi[wide])
+        above = count_below(mid, params) >= k[wide]
+        hi[wide[above]] = mid[above]
+        lo[wide[~above]] = mid[~above]
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from photherm import atoms
 from photherm.constants import BOLTZMANN, HBAR
@@ -17,6 +17,17 @@ from photherm.params import PhysicalParams
 
 # angular frequency whose photon energy equals k_B T at 400 K
 OMEGA_KT_400 = BOLTZMANN * 400.0 / HBAR  # 5.2363e13 rad/s
+# Relative drop above which two values of a decreasing law must differ in
+# float64. Each value carries about 2|x| + 4 ulps of rounding from its
+# exponent x (|x| < 10 on the tested range), so both together stay below this.
+STRICT_DROP = 64.0 * np.finfo(float).eps
+
+
+def assert_decreasing(f_lo, f_hi, rel_drop):
+    """f_hi <= f_lo always; strictly when the exact relative drop is resolvable."""
+    assert f_hi <= f_lo
+    if rel_drop > STRICT_DROP:
+        assert f_hi < f_lo
 
 
 class TestGrid:
@@ -70,11 +81,13 @@ class TestFermiDirac:
     @given(st.floats(min_value=1e10, max_value=4.9e14),
            st.floats(min_value=1e10, max_value=4.9e14))
     @settings(max_examples=50, deadline=None)
+    @example(1e10, 1e10 + 0.00390625)  # exact drop ~1e-16 relative: not resolvable
     def test_strictly_decreasing(self, w1, w2):
         lo, hi = sorted((w1, w2))
-        if lo == hi:
-            return
-        assert atoms.fermi_dirac(hi, 400.0) < atoms.fermi_dirac(lo, 400.0)
+        f_hi = atoms.fermi_dirac(hi, 400.0)
+        # 1 - f(hi)/f(lo) = (1 - f(hi)) (1 - exp(-hbar (hi - lo)/kT)), exactly
+        rel_drop = -(1.0 - f_hi) * math.expm1(-(hi - lo) / OMEGA_KT_400)
+        assert_decreasing(atoms.fermi_dirac(lo, 400.0), f_hi, rel_drop)
 
     def test_temperature_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -103,12 +116,14 @@ class TestPumpRate:
     @given(st.floats(min_value=1e10, max_value=4.9e14),
            st.floats(min_value=1e10, max_value=4.9e14))
     @settings(max_examples=50, deadline=None)
+    @example(1e10, 1e10 + 0.015625)  # exact drop ~3e-16 relative: not resolvable
     def test_strictly_decreasing(self, w1, w2):
         p = PhysicalParams()
         lo, hi = sorted((w1, w2))
-        if lo == hi:
-            return
-        assert atoms.pump_rate(hi, 400.0, p) < atoms.pump_rate(lo, 400.0, p)
+        rel_drop = -math.expm1(-(hi - lo) / OMEGA_KT_400)
+        assert_decreasing(
+            atoms.pump_rate(lo, 400.0, p), atoms.pump_rate(hi, 400.0, p), rel_drop
+        )
 
 
 class TestBoseEinstein:

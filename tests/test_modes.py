@@ -14,10 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 from photherm import modes
 from photherm.constants import SPEED_OF_LIGHT as C
-from photherm.params import PhysicalParams
+from photherm.params import PhysicalParams, apply_scale
 
 FULL_EMPTY_COUNT = 6366  # floor(omega_max L / (pi c)) at defaults
 REDUCED_EMPTY_COUNT = 636
+# relative offset from a root at which the oscillation count is well defined
+EPS = 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -53,18 +55,16 @@ class TestEmptyCavity:
         p = empty_full.replace(cavity_length=empty_full.cavity_length / 10.0)
         assert modes.scan_eigenfrequencies(p).size == REDUCED_EMPTY_COUNT
 
-    def test_mismatch_zero_at_eigenfrequencies(self, empty_full):
+    def test_count_steps_at_eigenfrequencies(self, empty_full):
         for n in (1, 7, 100, 6000):
             om = n * math.pi * C / empty_full.cavity_length
-            assert abs(modes.mismatch(om, empty_full)) < 1e-8
+            counts = modes.count_below([om * (1.0 - EPS), om * (1.0 + EPS)], empty_full)
+            assert counts.tolist() == [n - 1, n]
 
-    def test_mismatch_alternates_between_roots(self, empty_full):
-        vals = [
-            modes.mismatch((n + 0.5) * math.pi * C / empty_full.cavity_length, empty_full)
-            for n in range(1, 8)
-        ]
-        assert all(abs(v) > 0.9 for v in vals)
-        assert all(vals[i] * vals[i + 1] < 0 for i in range(len(vals) - 1))
+    def test_count_between_roots(self, empty_full):
+        n = np.arange(1, 8)
+        om = (n + 0.5) * math.pi * C / empty_full.cavity_length
+        assert np.array_equal(modes.count_below(om, empty_full), n)
 
     def test_gamma_closed_form(self, empty_full):
         table = modes.solve_modes(empty_full, omega_max=2e13)
@@ -131,11 +131,24 @@ class TestWithPlanes:
         assert np.all(full_table.gamma_conf > 0.0)
         assert np.all(full_table.gamma_conf < 1.0)
 
-    def test_scalar_and_grid_mismatch_agree(self, full_params):
-        om = np.linspace(3e13, 4e14, 57)
-        grid = modes.mismatch_grid(om, full_params)
-        scalar = np.array([modes.mismatch(o, full_params) for o in om])
-        assert np.max(np.abs(grid - scalar)) < 1e-13
+
+@pytest.mark.parametrize("scale", ["full", "reduced"])
+@pytest.mark.parametrize("factor", [0.25, 1.0, 4.0])
+def test_census_is_the_sturm_spectrum(full_params, scale, factor):
+    """The census is simple, and the k-th frequency is where the count steps to k+1.
+
+    At reduced scale the Bragg frequencies m*pi*c/l_p fall on multiples of
+    the empty-cavity spacing, where a census can list a root twice and miss
+    its neighbour.
+    """
+    p = apply_scale(
+        full_params.replace(plane_strength=full_params.plane_strength * factor), scale
+    )
+    omega = modes.scan_eigenfrequencies(p)
+    k = np.arange(omega.size)
+    assert np.all(np.diff(omega) > 0.0)
+    assert np.array_equal(modes.count_below(omega * (1.0 - EPS), p), k)
+    assert np.array_equal(modes.count_below(omega * (1.0 + EPS), p), k + 1)
 
 
 class TestModeTable:
