@@ -11,11 +11,13 @@ the Lorentzian overlap L_nk = [1 + (omega_n - Omega_k)^2/gamma^2]^-1:
 g_p = N_j g_a exactly, which makes the interaction part of
 sum_k N_k + N_j sum_n n_e a conserved quantity.
 
-The reductions in rhs, affine_coefficients and quasi_steady_photon go
-through einsum's fixed-order single-thread path, so these kernels are
-bit-identical across BLAS thread settings.  The steady solver's dense
-Jacobian product and LU factorization go through BLAS/LAPACK, so a steady
-state is bit-reproducible only at a fixed thread count.
+One kernel serves rhs and affine_coefficients: rhs = a * y + b with
+a = a0 + a1 * s, b = b0 + b1 * s and s = [W N ; W^T n], two BLAS products.
+Dynamics output was measured byte-identical at one and two OpenBLAS
+threads at reduced scale (a test pins this), but not at full scale, where
+a few final-state values differed in the last bit.  The steady solver's
+dense product and LU also go through BLAS/LAPACK.  Only a fixed thread
+count guarantees bit-reproducible output.
 """
 
 from __future__ import annotations
@@ -28,11 +30,6 @@ from . import atoms
 from .params import PhysicalParams
 
 
-def _matvec(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    # deterministic reduction order regardless of BLAS threading
-    return np.einsum("nk,k->n", matrix, vec, optimize=False)
-
-
 @dataclass
 class CouplingTables:
     """Precomputed atom-mode coupling weights plus the bath functions.
@@ -41,6 +38,8 @@ class CouplingTables:
     reduction directions stream memory linearly. fermi and pump are the
     equilibrium and pumping rates on the atom grid; rates and coupling
     constants are copied out of params so the rhs needs no other context.
+    a0, a1, b0 and b1 are the packed rhs constants (see the module
+    docstring), derived from the other fields on construction.
     """
 
     omega_atoms: np.ndarray
@@ -48,7 +47,6 @@ class CouplingTables:
     gamma_conf: np.ndarray
     W: np.ndarray
     WT: np.ndarray = field(repr=False)
-    W_rowsum: np.ndarray = field(repr=False)
     W_colsum: np.ndarray = field(repr=False)
     fermi: np.ndarray = field(repr=False)
     pump: np.ndarray = field(repr=False)
@@ -57,6 +55,21 @@ class CouplingTables:
     gamma_r: float = 0.0
     gamma_c: float = 0.0
     atoms_per_site: int = 1
+    a0: np.ndarray = field(init=False, repr=False)
+    a1: np.ndarray = field(init=False, repr=False)
+    b0: np.ndarray = field(init=False, repr=False)
+    b1: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        nf, nm = self.n_freqs, self.n_modes
+        rowsum = np.einsum("nk->n", self.W, optimize=False)
+        self.a0 = self.pack(
+            -self.g_atom * rowsum - self.gamma_r - self.pump,
+            -self.g_photon * self.W_colsum - self.gamma_c,
+        )
+        self.b0 = self.pack(self.gamma_r * self.fermi + self.pump, np.zeros(nm))
+        self.b1 = self.pack(np.full(nf, self.g_atom), np.full(nm, self.g_photon))
+        self.a1 = self.b1 * self.pack(np.full(nf, -2.0), np.full(nm, 2.0))
 
     @property
     def n_freqs(self) -> int:
@@ -100,7 +113,6 @@ def build_tables(
         gamma_conf=gam,
         W=W,
         WT=np.ascontiguousarray(W.T),
-        W_rowsum=np.einsum("nk->n", W, optimize=False),
         W_colsum=np.einsum("nk->k", W, optimize=False),
         fermi=atoms.fermi_dirac(om_a, params.temperature),
         pump=atoms.pump_rate(om_a, params.temperature, params),
@@ -112,45 +124,31 @@ def build_tables(
     )
 
 
+def _coefficients(y: np.ndarray, tables: CouplingTables) -> tuple[np.ndarray, np.ndarray]:
+    s, nf = np.empty_like(tables.a0), tables.n_freqs
+    np.matmul(tables.W, y[nf:], out=s[:nf])  # sum_k W_nk N_k
+    np.matmul(tables.WT, y[:nf], out=s[nf:])  # sum_n W_nk n_e
+    return tables.a0 + tables.a1 * s, tables.b0 + tables.b1 * s
+
+
 def rhs(y: np.ndarray, tables: CouplingTables) -> np.ndarray:
     """Time derivative of the packed state [n_e, N_k]."""
     if not np.all(np.isfinite(y)):
         raise FloatingPointError("non-finite state passed to rhs")
-    n, N = tables.split(y)
-    shared = _matvec(tables.W, N)  # sum_k W_nk N_k
-    emit = (2.0 * n - 1.0) * shared + n * tables.W_rowsum
-    dn = (
-        -tables.g_atom * emit
-        - tables.gamma_r * (n - tables.fermi)
-        + tables.pump * (1.0 - n)
-    )
-    proj = _matvec(tables.WT, n)  # sum_n W_nk n_e
-    gain = 2.0 * proj - tables.W_colsum  # sum_n W_nk (2 n_e - 1)
-    dN = tables.g_photon * (N * gain + proj) - tables.gamma_c * N
-    return np.concatenate([dn, dN])
+    a, b = _coefficients(y, tables)
+    return a * y + b
 
 
 def affine_coefficients(
     y: np.ndarray, tables: CouplingTables
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Exact per-variable split rhs_i = a_i * y_i + b_i at frozen cross terms.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact per-variable split rhs = a * y + b at frozen cross terms.
 
     Each block of the rhs is affine in its own variable once the other block
-    is held fixed, so (a, b) reproduce the rhs exactly and a is the exact
-    diagonal of the Jacobian.
+    is held fixed, so the packed (a, b) reproduce the rhs exactly and a is
+    the exact diagonal of the Jacobian.
     """
-    n, N = tables.split(y)
-    shared = _matvec(tables.W, N)
-    a_e = (
-        -tables.g_atom * (2.0 * shared + tables.W_rowsum)
-        - tables.gamma_r
-        - tables.pump
-    )
-    b_e = tables.g_atom * shared + tables.gamma_r * tables.fermi + tables.pump
-    proj = _matvec(tables.WT, n)
-    a_p = tables.g_photon * (2.0 * proj - tables.W_colsum) - tables.gamma_c
-    b_p = tables.g_photon * proj
-    return a_e, b_e, a_p, b_p
+    return _coefficients(y, tables)
 
 
 def total_excitation(y: np.ndarray, tables: CouplingTables) -> float:
@@ -170,7 +168,7 @@ def quasi_steady_photon(
     """
     if gamma_c is None:
         gamma_c = tables.gamma_c
-    proj = _matvec(tables.WT, np.asarray(n_e, dtype=float))
+    proj = tables.WT @ np.asarray(n_e, dtype=float)
     denom = gamma_c + tables.g_photon * (tables.W_colsum - 2.0 * proj)
     if np.any(denom <= 0.0):
         raise ValueError("non-positive denominator: inverted gain, no fixed point")

@@ -249,6 +249,8 @@ def stage_dynamics(ctx: RunContext) -> list[Path]:
     ctx.manifest.metrics["dynamics"] = {
         "accepted_steps": traj.metadata["accepted_steps"],
         "rejected_steps": traj.metadata["rejected_steps"],
+        "min_step": traj.metadata["min_step"],
+        "max_step": traj.metadata["max_step"],
         "method": method,
     }
     return [out, state_csv]

@@ -103,7 +103,7 @@ def _reduced_system(
     residual = rhs(y, tables)[: tables.n_freqs]
     proj = tables.WT @ n_e
     denom = tables.gamma_c + tables.g_photon * (tables.W_colsum - 2.0 * proj)
-    a_e = affine_coefficients(y, tables)[0]
+    a_e = affine_coefficients(y, tables)[0][: tables.n_freqs]
     dphoton = (tables.g_photon * (1.0 + 2.0 * photons) / denom)[:, None] * tables.WT
     coupling = -tables.g_atom * (2.0 * n_e - 1.0)[:, None] * tables.W
     jacobian = np.diag(a_e) + coupling @ dphoton

@@ -7,10 +7,15 @@ wall-clock metrics legitimately vary).
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import photherm
 from photherm import __version__
 from photherm.cli import build_parser, main
 from photherm.csvio import read_csv
@@ -73,7 +78,9 @@ class TestPipeline:
         assert m["stages"] == ["modes", "dynamics", "steady", "spectrum"]
         assert m["preset"] == "eq-strong" and m["scale"] == "reduced"
         assert m["metrics"]["steady"]["converged"] is True
-        assert m["metrics"]["dynamics"]["accepted_steps"] > 0
+        dyn = m["metrics"]["dynamics"]
+        assert dyn["accepted_steps"] > 0
+        assert 0.0 < dyn["min_step"] <= dyn["max_step"] <= 1e-12
         for stage in m["stages"]:
             assert m["outputs"][stage], stage
 
@@ -130,6 +137,27 @@ class TestPipeline:
     def test_unknown_stage_rejected(self, tmp_path):
         code = main(["pipeline", "--out-dir", str(tmp_path), *FAST, "--stages", "fft"])
         assert code == 2
+
+
+def test_dynamics_identical_at_one_and_two_blas_threads(tmp_path):
+    """Reduced-scale dynamics output does not depend on the BLAS thread count."""
+    argv = [
+        "pipeline", "--stages", "dynamics", "--preset", "eq-weak",
+        "--scale", "reduced", "--t-end", "1e-9",
+    ]
+    src = str(Path(photherm.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from photherm.cli import main; sys.exit(main())",
+             *argv, "--out-dir", str(out)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        outputs[threads] = [(out / f).read_bytes() for f in ("dynamics.csv", "dynamics-state.csv")]
+    assert outputs["1"] == outputs["2"]
 
 
 class TestSingleCommands:

@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 from photherm import atoms, kinetics
-from photherm.integrate import Trajectory, detect_saturation, integrate, log_times
+from photherm.integrate import (
+    Trajectory,
+    _affine_step,
+    _clamp_simplex,
+    detect_saturation,
+    integrate,
+    log_times,
+)
 from photherm.params import apply_scale, preset
 
 RT = 1e-8
@@ -41,6 +48,40 @@ class TestLogTimes:
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
             log_times(1e-17)
+
+
+class TestStepHelpers:
+    def test_affine_step_matches_closed_form(self):
+        h = 1e-9
+        z = np.array([-50.0, -1e-3, -1e-13, 1e-13])
+        a = z / h
+        y = np.array([0.3, 0.7, 0.2, 0.9])
+        b = np.array([2e8, -4e8, 1e9, 3e8])
+        ref = y * np.exp(z) + b * np.expm1(z) / a
+        # phi1 = 1 for |z| <= 1e-12 is off by at most |z|/2 relative
+        assert np.allclose(_affine_step(y, h, a, b), ref, rtol=1e-12, atol=0.0)
+
+    def test_affine_step_is_euler_at_zero_rate(self):
+        h = 1e-9
+        y = np.array([0.3, 0.7])
+        b = np.array([2e8, -4e8])
+        assert np.array_equal(_affine_step(y, h, np.zeros(2), b), y + b * h)
+
+    def test_clamp_simplex_projects_small_excursions_in_place(self):
+        y = np.array([-1e-9, 1.0 + 1e-9, 0.5, -1e-9, 2.0])
+        out = _clamp_simplex(y, 3, rtol=1e-6, atol=1e-14)
+        assert out is y
+        assert np.array_equal(y, [0.0, 1.0, 0.5, 0.0, 2.0])
+
+    # rtol 1e-6, atol 0: slack 1e-5 for occupations, 2e-5 for photons (max N = 2)
+    @pytest.mark.parametrize("index, edge", [(0, -1e-5), (1, 1.0 + 1e-5), (3, -2e-5)])
+    def test_clamp_simplex_raises_just_beyond_slack(self, index, edge):
+        y = np.array([0.5, 0.5, 0.5, 0.5, 2.0])
+        y[index] = edge * (1.0 - 1e-9)
+        _clamp_simplex(y, 3, rtol=1e-6, atol=0.0)
+        y[index] = edge * (1.0 + 1e-9)
+        with pytest.raises(RuntimeError):
+            _clamp_simplex(y, 3, rtol=1e-6, atol=0.0)
 
 
 class TestValidation:
@@ -209,6 +250,7 @@ class TestMethodAgreement:
         assert md["method"] == "exponential-diagonal"
         assert md["rtol"] == 1e-5
         assert md["accepted_steps"] > 0
+        assert 0.0 < md["min_step"] <= md["max_step"] <= 1e-13
         md2 = short_runs[("dp", 1e-5)].metadata
         assert md2["method"] == "adaptive-explicit"
 
