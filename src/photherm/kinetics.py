@@ -91,11 +91,8 @@ def build_tables(
     gamma_modes: np.ndarray,
     omega_atoms: np.ndarray,
     params: PhysicalParams,
-    cutoff: float = 0.0,
 ) -> CouplingTables:
-    """Dense Lorentzian overlap tables; entries below `cutoff` zeroed exactly."""
-    if not 0.0 <= cutoff < 1.0:
-        raise ValueError("cutoff must lie in [0, 1)")
+    """Dense Lorentzian overlap tables."""
     om_a = np.asarray(omega_atoms, dtype=float)
     om_m = np.asarray(omega_modes, dtype=float)
     gam = np.asarray(gamma_modes, dtype=float)
@@ -104,8 +101,6 @@ def build_tables(
 
     detune = (om_a[:, None] - om_m[None, :]) / params.dephasing_rate
     L = 1.0 / (1.0 + detune**2)
-    if cutoff > 0.0:
-        L[L < cutoff] = 0.0
     W = L * (om_m * gam)[None, :]
     return CouplingTables(
         omega_atoms=om_a,
@@ -157,19 +152,15 @@ def total_excitation(y: np.ndarray, tables: CouplingTables) -> float:
     return float(np.sum(N) + tables.atoms_per_site * np.sum(n))
 
 
-def quasi_steady_photon(
-    n_e: np.ndarray, tables: CouplingTables, gamma_c: float | None = None
-) -> np.ndarray:
+def quasi_steady_photon(n_e: np.ndarray, tables: CouplingTables) -> np.ndarray:
     """Photon fixed point at frozen populations.
 
     N_k = g_p (W^T n)_k / (gamma_c + g_p (W^T (1 - 2n))_k); the denominator
     must stay positive - otherwise stimulated gain beats the losses and that
     mode has no steady state at these populations.
     """
-    if gamma_c is None:
-        gamma_c = tables.gamma_c
     proj = tables.WT @ np.asarray(n_e, dtype=float)
-    denom = gamma_c + tables.g_photon * (tables.W_colsum - 2.0 * proj)
+    denom = tables.gamma_c + tables.g_photon * (tables.W_colsum - 2.0 * proj)
     if np.any(denom <= 0.0):
         raise ValueError("non-positive denominator: inverted gain, no fixed point")
     return tables.g_photon * proj / denom

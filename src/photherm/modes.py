@@ -13,10 +13,11 @@ crossing is the shear w -> w - q*eta*u. Eigenfrequencies are found by
 Sturm-count bisection: the Pruefer phase of (u, w) at z = L gives the exact
 number of eigenfrequencies below any frequency (`count_below`), and every
 root is bisected on that count alone, all roots in one vectorized pass
-(`scan_eigenfrequencies`). The normalization and the peak count propagate
-the pair itself, which stays O(1) up to the accumulated shear factors;
-these fit comfortably in double precision for all supported plane
-strengths.
+(`scan_eigenfrequencies`). The same phase, stopped just left of the last
+plane at L_c, gives the number of positive field maxima inside the stack
+in closed form (`count_peaks`). The normalization propagates the pair
+itself, which stays O(1) up to the accumulated shear factors; these fit
+comfortably in double precision for all supported plane strengths.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ from .params import PhysicalParams
 SCAN_SPACING_FACTOR = 0.3
 # Relative tolerance for eigenfrequency refinement.
 ROOT_RTOL = 1e-12
+# Format of a saved ModeTable; a file with another (or no) version is stale
+# and solved again. Raise it whenever a saved field changes layout or value.
+CENSUS_VERSION = 2
 
 
 @dataclass
@@ -43,8 +47,7 @@ class ModeTable:
     gamma_conf is the confinement factor: the fraction of the plain field
     energy integral int u^2 dz that falls inside the plane stack [0, L_c].
     Delta-plane terms enter the mode normalization but not this ratio.
-    init_slope is the normalized field's w(0) = u'(0)/q, which together with
-    omega fully determines the field.
+    census_version is the CENSUS_VERSION the table was solved under.
     """
 
     omega: np.ndarray
@@ -52,7 +55,6 @@ class ModeTable:
     m_peak: np.ndarray
     k_assigned: np.ndarray
     is_crystal: np.ndarray
-    init_slope: np.ndarray
 
     # geometry the table depends on
     plane_strength: float
@@ -61,6 +63,7 @@ class ModeTable:
     plane_spacing: float
     n_planes: int
     omega_max: float
+    census_version: int = CENSUS_VERSION
 
     @property
     def n_modes(self) -> int:
@@ -74,7 +77,7 @@ class ModeTable:
             m_peak=self.m_peak,
             k_assigned=self.k_assigned,
             is_crystal=self.is_crystal,
-            init_slope=self.init_slope,
+            census_version=self.census_version,
             geometry=np.array(
                 [
                     self.plane_strength,
@@ -97,18 +100,21 @@ class ModeTable:
             m_peak=data["m_peak"],
             k_assigned=data["k_assigned"],
             is_crystal=data["is_crystal"],
-            init_slope=data["init_slope"],
             plane_strength=float(geo[0]),
             cavity_length=float(geo[1]),
             crystal_length=float(geo[2]),
             plane_spacing=float(geo[3]),
             n_planes=int(geo[4]),
             omega_max=float(geo[5]),
+            census_version=(
+                int(data["census_version"]) if "census_version" in data else 0
+            ),
         )
 
     def matches(self, params: PhysicalParams) -> bool:
         return (
-            self.plane_strength == params.plane_strength
+            self.census_version == CENSUS_VERSION
+            and self.plane_strength == params.plane_strength
             and self.cavity_length == params.cavity_length
             and self.crystal_length == params.crystal_length
             and self.plane_spacing == params.plane_spacing
@@ -121,26 +127,26 @@ class ModeTable:
 # ----------------------------------------------------------------------
 
 
-def count_below(omega, params: PhysicalParams) -> np.ndarray:
-    """Exact number of eigenfrequencies in (0, omega], vectorized.
+def _pruefer_phase(q: np.ndarray, params: PhysicalParams, end: float):
+    """Pruefer phase Theta = m*pi + rho of the pair shot from z = 0, at z = end.
 
-    Oscillation-theorem count: with u = R sin(Theta), w = R cos(Theta) the
-    phase advances rigidly by q*d across a free region, and a plane shear
-    (u fixed, w reduced) cannot move Theta across a multiple of pi, so the
-    number of zeros of u on (0, L] - which equals the number of
-    eigenfrequencies below - is floor(Theta(L)/pi).
+    Returns (m, rho) with integer m and residual rho in [0, pi). Only the
+    planes strictly before `end` shear the pair, so a plane sitting at `end`
+    is left out and the phase is the one just left of it.
 
-    Theta is carried as m*pi + rho with integer m and residual rho in
-    [0, pi), keeping the plane-shear branch exact even at the Bragg
-    frequencies m*pi*c/l_p where every plane sits at a phase multiple of pi
-    and a plain accumulated phase loses the branch to rounding.
+    Free propagation advances Theta rigidly by q*d; a plane shear (u fixed,
+    w reduced by q*eta*u) moves Theta forward but never across a multiple
+    of pi, where u = 0. Carrying m apart from rho keeps the shear branch
+    exact even at the Bragg frequencies m*pi*c/l_p, where every plane sits
+    at a phase multiple of pi and a plain accumulated phase loses the branch
+    to rounding.
     """
-    q = np.atleast_1d(np.asarray(omega, dtype=float)) / C
     eta = params.plane_strength
     m = np.zeros(q.shape, dtype=np.int64)
     rho = np.zeros_like(q)
     prev = 0.0
-    for z in params.plane_positions:
+    planes = params.plane_positions
+    for z in planes[planes < end]:
         adv = rho + q * (z - prev)
         m += np.floor(adv / np.pi).astype(np.int64)
         rho = np.mod(adv, np.pi)
@@ -148,19 +154,28 @@ def count_below(omega, params: PhysicalParams) -> np.ndarray:
             s, c = np.sin(rho), np.cos(rho)  # s >= 0 since rho in [0, pi)
             rho = np.mod(np.arctan2(s, c - q * eta * s), np.pi)
         prev = z
-    adv = rho + q * (params.cavity_length - prev)
+    adv = rho + q * (end - prev)
     m += np.floor(adv / np.pi).astype(np.int64)
-    return m
+    return m, np.mod(adv, np.pi)
+
+
+def count_below(omega, params: PhysicalParams) -> np.ndarray:
+    """Exact number of eigenfrequencies in (0, omega], vectorized.
+
+    Oscillation-theorem count: with u = R sin(Theta), w = R cos(Theta) the
+    number of zeros of u on (0, L] - which equals the number of
+    eigenfrequencies below - is floor(Theta(L)/pi).
+    """
+    q = np.atleast_1d(np.asarray(omega, dtype=float)) / C
+    return _pruefer_phase(q, params, params.cavity_length)[0]
 
 
 def scan_eigenfrequencies(
-    params: PhysicalParams,
-    omega_max: float | None = None,
-    spacing_factor: float = SCAN_SPACING_FACTOR,
+    params: PhysicalParams, omega_max: float | None = None
 ) -> np.ndarray:
     """All eigenfrequencies in (0, omega_max], refined to ROOT_RTOL.
 
-    The exact oscillation count on a scan grid (spacing `spacing_factor`
+    The exact oscillation count on a scan grid (spacing SCAN_SPACING_FACTOR
     times the empty-cavity mode spacing pi*c/L) numbers the roots and gives
     the k-th root (1-based) the grid cell with count(lo) < k <= count(hi)
     as its bracket. All brackets are then bisected together on the count
@@ -172,7 +187,7 @@ def scan_eigenfrequencies(
     """
     if omega_max is None:
         omega_max = params.omega_max
-    step = spacing_factor * math.pi * C / params.cavity_length
+    step = SCAN_SPACING_FACTOR * math.pi * C / params.cavity_length
     edges = np.arange(0.0, omega_max + step, step)
     edges[-1] = omega_max
     if edges.size < 2:
@@ -242,12 +257,12 @@ def _region_integrals(omega: np.ndarray, z_edges: np.ndarray, U, W):
 
 
 def normalize_modes(omega: np.ndarray, params: PhysicalParams):
-    """Scale factors making int eps(z) u^2 dz / eps0 = 1 for each mode.
+    """Normalize each mode to int eps(z) u^2 dz / eps0 = 1.
 
-    Returns (scale, z_edges, U, W, segment_integrals) with U, W, and the
-    integrals already scaled. The delta-plane terms eta * u(z_i)^2 enter the
-    norm (they are part of eps) but are reported separately from the segment
-    integrals.
+    Returns (U, segment_integrals), both already scaled: U holds the field
+    state u entering each region, so U[:, 1:] is u at the planes. The
+    delta-plane terms eta * u(z_i)^2 enter the norm (they are part of eps)
+    but are not part of the segment integrals.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     z_edges, U, W = _region_states(omega, params)
@@ -257,72 +272,30 @@ def normalize_modes(omega: np.ndarray, params: PhysicalParams):
     delta_part = params.plane_strength * np.sum(u_planes**2, axis=1)
     total = seg.sum(axis=1) + delta_part
     scale = 1.0 / np.sqrt(total)
-    U = U * scale[:, None]
-    W = W * scale[:, None]
-    seg = seg * (scale**2)[:, None]
-    return scale, z_edges, U, W, seg
+    return U * scale[:, None], seg * (scale**2)[:, None]
 
 
 def norm_residuals(omega: np.ndarray, params: PhysicalParams) -> np.ndarray:
     """|int eps u^2 / eps0 - 1| for normalized modes (test hook)."""
-    scale, z_edges, U, W, seg = normalize_modes(omega, params)
+    U, seg = normalize_modes(omega, params)
     delta_part = params.plane_strength * np.sum(U[:, 1:] ** 2, axis=1)
     return np.abs(seg.sum(axis=1) + delta_part - 1.0)
 
 
-def field_samples(
-    omega: float,
-    params: PhysicalParams,
-    z: np.ndarray,
-    init_slope: float | None = None,
-) -> np.ndarray:
-    """Normalized field u(z) of the mode at `omega` on arbitrary points."""
-    z = np.asarray(z, dtype=float)
-    scale, z_edges, U, W, _ = normalize_modes(np.array([omega]), params)
-    if init_slope is not None:
-        # honor a stored sign/scale convention exactly
-        factor = init_slope / W[0, 0]
-        U = U * factor
-        W = W * factor
-    q = omega / C
-    idx = np.clip(np.searchsorted(z_edges, z, side="right") - 1, 0, U.shape[1] - 1)
-    s = z - z_edges[idx]
-    return U[0, idx] * np.cos(q * s) + W[0, idx] * np.sin(q * s)
-
-
-def _count_positive_peaks(u: np.ndarray) -> np.ndarray:
-    """Rows' counts of strict interior maxima with positive value.
-
-    A real standing wave has one positive hump per full wavelength, so this
-    count reads off the spatial order of the mode inside the sampled window
-    independent of the field's overall sign.
-    """
-    interior = u[:, 1:-1]
-    peaks = (interior > u[:, :-2]) & (interior > u[:, 2:]) & (interior > 0.0)
-    return peaks.sum(axis=1)
-
-
-def count_peaks(
-    omega: np.ndarray,
-    params: PhysicalParams,
-    points_per_wavelength: int = 20,
-) -> np.ndarray:
+def count_peaks(omega: np.ndarray, params: PhysicalParams) -> np.ndarray:
     """Number of positive field maxima inside the plane stack (0, L_c).
 
-    Sampling resolution satisfies `points_per_wavelength` for the shortest
-    wavelength present (2 pi c / max omega), shared across all modes.
+    Each positive maximum is one crossing of the Pruefer phase through
+    pi/2 + 2*pi*j: the phase never decreases, and on a positive hump u is
+    concave, kinks included, since a plane only lowers w there. With
+    Theta = m*pi + rho just left of the last plane at L_c, the crossings
+    number (m + 1)//2, plus one when m is even and rho is past pi/2. One
+    positive hump per full wavelength makes this the spatial order of the
+    mode inside the stack.
     """
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    L_c = params.crystal_length
-    lam_min = 2.0 * math.pi * C / float(np.max(omega))
-    n = max(64, int(math.ceil(points_per_wavelength * L_c / lam_min))) + 1
-    z = np.linspace(0.0, L_c, n)
-    scale, z_edges, U, W, _ = normalize_modes(omega, params)
-    q = (omega / C)[:, None]
-    idx = np.clip(np.searchsorted(z_edges, z, side="right") - 1, 0, U.shape[1] - 1)
-    s = (z - z_edges[idx])[None, :]
-    u = np.take(U, idx, axis=1) * np.cos(q * s) + np.take(W, idx, axis=1) * np.sin(q * s)
-    return _count_positive_peaks(u)
+    q = np.atleast_1d(np.asarray(omega, dtype=float)) / C
+    m, rho = _pruefer_phase(q, params, params.crystal_length)
+    return (m + 1) // 2 + ((m % 2 == 0) & (rho > 0.5 * np.pi))
 
 
 def solve_modes(params: PhysicalParams, omega_max: float | None = None) -> ModeTable:
@@ -333,7 +306,7 @@ def solve_modes(params: PhysicalParams, omega_max: float | None = None) -> ModeT
     if omega.size == 0:
         raise ValueError("no eigenmodes found below omega_max")
 
-    scale, z_edges, U, W, seg = normalize_modes(omega, params)
+    _, seg = normalize_modes(omega, params)
     n_inside = params.n_planes  # regions [0, z_1], ..., [z_{n-1}, L_c]
     gamma_conf = seg[:, :n_inside].sum(axis=1) / seg.sum(axis=1)
     m_peak = count_peaks(omega, params)
@@ -343,10 +316,9 @@ def solve_modes(params: PhysicalParams, omega_max: float | None = None) -> ModeT
     return ModeTable(
         omega=omega,
         gamma_conf=gamma_conf,
-        m_peak=m_peak.astype(np.int64),
+        m_peak=m_peak,
         k_assigned=k_assigned,
         is_crystal=is_crystal,
-        init_slope=W[:, 0],
         plane_strength=params.plane_strength,
         cavity_length=params.cavity_length,
         crystal_length=params.crystal_length,

@@ -42,7 +42,8 @@ class Spectrum:
             raise ValueError(f"unknown spectrum kind {self.kind!r}")
         if omega.ndim != 1 or omega.shape != value.shape:
             raise ValueError("omega and value must be 1-d arrays of equal length")
-        # non-decreasing: mode censuses contain exactly degenerate doublets
+        # non-decreasing, not increasing: the census is simple, but two roots
+        # closer than its refinement tolerance may settle on one frequency
         if omega.size > 1 and np.any(np.diff(omega) < 0.0):
             raise ValueError("omega samples must be increasing")
         if self.kind != "ratio" and value.size and np.min(value) < 0.0:

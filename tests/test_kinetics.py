@@ -91,14 +91,6 @@ class TestBuildTables:
         expect = lorentzian * (t.omega_modes * t.gamma_conf)
         assert np.array_equal(t.W, expect)
 
-    def test_cutoff_validation(self):
-        p = PhysicalParams()
-        om = np.array([1e14])
-        with pytest.raises(ValueError):
-            kinetics.build_tables(om, np.array([0.5]), om, p, cutoff=1.0)
-        with pytest.raises(ValueError):
-            kinetics.build_tables(om, np.array([0.5]), om, p, cutoff=-0.1)
-
     def test_empty_inputs_rejected(self):
         p = PhysicalParams()
         empty = np.array([])
@@ -106,24 +98,6 @@ class TestBuildTables:
             kinetics.build_tables(empty, empty, np.array([1e14]), p)
         with pytest.raises(ValueError):
             kinetics.build_tables(np.array([1e14]), np.array([0.5]), empty, p)
-
-    def test_sparsification_barely_changes_rhs(self):
-        # narrow linewidth so far-detuned weights actually drop below cutoff
-        p = PhysicalParams(dephasing_rate=1e11)
-        om_m = np.linspace(1e13, 4.9e14, 40)
-        om_a = atoms.build_grid(p)
-        conf = np.full(om_m.size, 0.3)
-        dense = kinetics.build_tables(om_m, conf, om_a, p)
-        sparse = kinetics.build_tables(om_m, conf, om_a, p, cutoff=1e-6)
-        assert np.count_nonzero(sparse.W == 0.0) > 0
-        rng = np.random.default_rng(3)
-        y = np.concatenate(
-            [rng.uniform(0, 1, om_a.size), rng.uniform(0, 10, om_m.size)]
-        )
-        r_dense = kinetics.rhs(y, dense)
-        r_sparse = kinetics.rhs(y, sparse)
-        scale = np.max(np.abs(r_dense))
-        assert np.max(np.abs(r_dense - r_sparse)) < 1e-4 * scale
 
 
 class TestRhs:
@@ -300,6 +274,10 @@ class TestQuasiSteadyPhoton:
 
     def test_loss_lowers_fixed_point(self):
         t = pair_tables(pump_amplitude=0.0)
-        lossless = kinetics.quasi_steady_photon(t.fermi, t, gamma_c=0.0)
-        lossy = kinetics.quasi_steady_photon(t.fermi, t, gamma_c=1e15)
+        lossless = kinetics.quasi_steady_photon(
+            t.fermi, dataclasses.replace(t, gamma_c=0.0)
+        )
+        lossy = kinetics.quasi_steady_photon(
+            t.fermi, dataclasses.replace(t, gamma_c=1e15)
+        )
         assert lossy[0] < lossless[0]

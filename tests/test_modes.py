@@ -6,13 +6,14 @@ z/L), confinement L_c/L - sin(2 pi n L_c/L)/(2 pi n). Every solver path is
 validated against these before the planes are switched on.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from photherm import modes
+from photherm import modes, pipeline
 from photherm.constants import SPEED_OF_LIGHT as C
 from photherm.params import PhysicalParams, apply_scale
 
@@ -34,6 +35,31 @@ def empty_roots(empty_full):
 
 def empty_gamma(n: np.ndarray, ratio: float) -> np.ndarray:
     return ratio - np.sin(2.0 * math.pi * n * ratio) / (2.0 * math.pi * n)
+
+
+def sampled_peak_count(omega, p, per_wavelength=400, chunk=128):
+    """Positive maxima of the field in (0, L_c), counted on a dense grid.
+
+    Each region between planes inside the stack is sampled at both ends, so
+    the slope w = u'/q is seen on both sides of every plane and just left of
+    L_c. A positive maximum is a step where w falls from > 0 to <= 0 while
+    u > 0; this catches maxima at the planes' kinks too.
+    """
+    k = math.ceil(per_wavelength * p.plane_spacing * np.max(omega) / (2.0 * math.pi * C))
+    s = np.linspace(0.0, p.plane_spacing, k + 1)
+    counts = np.empty(omega.size, dtype=np.int64)
+    for a in range(0, omega.size, chunk):
+        om = omega[a : a + chunk]
+        _, U, W = modes._region_states(om, p)
+        U, W = U[:, : p.n_planes, None], W[:, : p.n_planes, None]
+        phase = (om / C)[:, None, None] * s
+        c, sn = np.cos(phase), np.sin(phase)
+        u = (U * c + W * sn).reshape(om.size, -1)
+        w = (W * c - U * sn).reshape(om.size, -1)
+        counts[a : a + chunk] = np.count_nonzero(
+            (w[:, :-1] > 0.0) & (w[:, 1:] <= 0.0) & (u[:, 1:] > 0.0), axis=1
+        )
+    return counts
 
 
 class TestEmptyCavity:
@@ -72,12 +98,14 @@ class TestEmptyCavity:
         ratio = empty_full.crystal_length / empty_full.cavity_length
         assert np.max(np.abs(table.gamma_conf - empty_gamma(n, ratio))) < 1e-12
 
-    def test_peak_count_tracks_wavelength(self, empty_full):
-        table = modes.solve_modes(empty_full, omega_max=2e13)
-        n = np.arange(1, table.n_modes + 1)
-        # sin(n pi z / L) has one positive hump per full wavelength in (0, L_c)
-        expected = n * empty_full.crystal_length / (2.0 * empty_full.cavity_length)
-        assert np.max(np.abs(table.m_peak - expected)) <= 1.0
+    def test_peak_count_tracks_wavelength(self, empty_full, empty_roots):
+        # sin(q z) has its positive maxima at q z = pi/2 + 2 pi j; count those
+        # inside (0, L_c)
+        q = empty_roots / C
+        expected = np.maximum(
+            0, np.ceil((q * empty_full.crystal_length - 0.5 * math.pi) / (2.0 * math.pi))
+        )
+        assert np.array_equal(modes.count_peaks(empty_roots, empty_full), expected)
 
 
 class TestScanRange:
@@ -127,6 +155,12 @@ class TestWithPlanes:
             math.pi / full_table.plane_spacing
         )
 
+    @pytest.mark.parametrize("factor", [0.25, 1.0, 4.0])
+    def test_peak_count_matches_dense_sampling(self, full_params, full_table, factor):
+        p = full_params.replace(plane_strength=full_params.plane_strength * factor)
+        table = full_table if factor == 1.0 else modes.solve_modes(p)
+        assert np.array_equal(table.m_peak, sampled_peak_count(table.omega, p))
+
     def test_gamma_bounds(self, full_table):
         assert np.all(full_table.gamma_conf > 0.0)
         assert np.all(full_table.gamma_conf < 1.0)
@@ -161,7 +195,41 @@ class TestModeTable:
         assert np.array_equal(back.m_peak, reduced_table.m_peak)
         assert back.plane_strength == reduced_table.plane_strength
         assert back.n_planes == reduced_table.n_planes
+        assert back.census_version == modes.CENSUS_VERSION
 
     def test_matches_params(self, reduced_table, reduced_params, full_params):
         assert reduced_table.matches(reduced_params)
         assert not reduced_table.matches(full_params)
+        stale = dataclasses.replace(reduced_table, census_version=modes.CENSUS_VERSION - 1)
+        assert not stale.matches(reduced_params)
+
+    def test_old_layout_cache_is_solved_again(self, reduced_table, reduced_params, tmp_path):
+        # a census saved before the format was versioned (init_slope, no
+        # version), with a wrong m_peak standing in for the old sampled count
+        path = tmp_path / "cache" / f"modes-{reduced_params.mode_cache_key()}.npz"
+        path.parent.mkdir()
+        t = reduced_table
+        np.savez_compressed(
+            path,
+            omega=t.omega,
+            gamma_conf=t.gamma_conf,
+            m_peak=t.m_peak - 1,
+            k_assigned=t.k_assigned,
+            is_crystal=t.is_crystal,
+            init_slope=np.ones(t.n_modes),
+            geometry=np.array(
+                [
+                    t.plane_strength,
+                    t.cavity_length,
+                    t.crystal_length,
+                    t.plane_spacing,
+                    float(t.n_planes),
+                    t.omega_max,
+                ]
+            ),
+        )
+        assert not modes.ModeTable.load(path).matches(reduced_params)
+        table, from_cache = pipeline.load_or_solve_modes(reduced_params, tmp_path)
+        assert not from_cache
+        assert np.array_equal(table.m_peak, t.m_peak)
+        assert modes.ModeTable.load(path).matches(reduced_params)

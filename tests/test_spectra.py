@@ -25,7 +25,6 @@ def toy(omega, gamma):
         m_peak=np.arange(n),
         k_assigned=np.zeros(n),
         is_crystal=np.zeros(n, dtype=bool),
-        init_slope=np.ones(n),
         plane_strength=0.0,
         cavity_length=1.0,
         crystal_length=0.1,
