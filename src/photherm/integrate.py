@@ -1,22 +1,17 @@
-"""Adaptive integrators for the kinetic equations over log-spaced time.
+"""Adaptive exponential integrator for the kinetic equations over log-spaced time.
 
-Two interchangeable methods:
+exponential-diagonal: each variable's exact affine part (the rhs is affine
+in each variable with the opposite block frozen) is integrated exactly via
+x -> x e^z + b h (e^z - 1)/z, z = a h, one fused expression on the packed
+(a, b) of kinetics.affine_coefficients; the midpoint variant evaluates
+(a, b) at an exponential-Euler half step, giving second order with a
+first-order embedded error estimate. Fixed points of the full system are
+also fixed points of the discrete map for any step size, and the scheme is
+unaffected by the diagonal stiffness.
 
-- adaptive-explicit: embedded Dormand-Prince 5(4) pair. Accurate but
-  stability-limited: the fastest photon rates reach ~1e16 1/s, so this
-  method is for short horizons and cross-checks.
-- exponential-diagonal: each variable's exact affine part (the rhs is affine
-  in each variable with the opposite block frozen) is integrated exactly via
-  x -> x e^z + b h (e^z - 1)/z, z = a h, one fused expression on the packed
-  (a, b) of kinetics.affine_coefficients; the midpoint variant evaluates
-  (a, b) at an exponential-Euler half step, giving second order with a
-  first-order embedded error estimate. Fixed points of the full system are
-  also fixed points of the discrete map for any step size, and the scheme
-  is unaffected by the diagonal stiffness.
-
-Both share one PI step controller, log-spaced snapshot alignment, and the
+A PI step controller, log-spaced snapshot alignment, and the
 physical-simplex clamp policy (tolerate and clamp excursions below
-10 * (atol + rtol * scale), abort on anything larger).
+10 * (atol + rtol * scale), abort on anything larger) drive the stepper.
 """
 
 from __future__ import annotations
@@ -26,27 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinetics import CouplingTables, affine_coefficients, rhs, total_excitation
+from .kinetics import CouplingTables, affine_coefficients, total_excitation
 
 T_FLOOR = 1e-16  # earliest log-grid time, s
 POINTS_PER_DECADE = 60
-METHODS = ("exponential-diagonal", "adaptive-explicit")
-
-# Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
+METHOD = "exponential-diagonal"
 
 
 @dataclass
@@ -77,6 +56,8 @@ def log_times(
     """Log-spaced sample times over [t_start, t_end], t=0 prepended."""
     if t_end <= t_start:
         raise ValueError("t_end must exceed the log-grid start")
+    if points_per_decade < 1:
+        raise ValueError(f"points_per_decade must be at least 1, got {points_per_decade}")
     decades = math.log10(t_end / t_start)
     n = max(2, int(round(decades * points_per_decade)) + 1)
     grid = np.logspace(math.log10(t_start), math.log10(t_end), n)
@@ -92,7 +73,7 @@ def _affine_step(y, h, a, b):
 
 
 class _StepController:
-    """PI controller on the weighted max-norm error; shared by both methods."""
+    """PI controller on the weighted max-norm error."""
 
     def __init__(self, order: int, rtol: float, atol: float, safety: float = 0.9):
         self.rtol = rtol
@@ -153,32 +134,31 @@ def integrate(
     y0: np.ndarray,
     t_end: float,
     tables: CouplingTables,
-    method: str = "exponential-diagonal",
     rtol: float = 1e-6,
     atol: float = 1e-14,
     times: np.ndarray | None = None,
     points_per_decade: int = POINTS_PER_DECADE,
     max_steps: int = 50_000_000,
-    conserve: bool | None = None,
 ) -> Trajectory:
     """Advance the packed state to t_end, sampling at log-spaced times.
 
-    When every dissipation channel is off, total excitation is an exact
-    linear invariant of the equations; `conserve` (auto-detected by default)
-    re-projects each accepted step onto that invariant, removing secular
-    drift without changing the order of either method. Explicit RK steps
-    preserve linear invariants anyway; the projection matters for the
-    block-frozen exponential method.
+    `times` (t=0 is prepended when missing) must increase strictly and end
+    at t_end. When every dissipation channel is off, total excitation is an
+    exact linear invariant of the equations; each accepted step is then
+    re-projected onto that invariant, removing the secular drift of the
+    block-frozen exponential step without changing its order.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     if t_end <= 0.0 or rtol <= 0.0 or atol < 0.0:
         raise ValueError("t_end and tolerances must be positive")
     if times is None:
         times = log_times(t_end, points_per_decade)
     times = np.asarray(times, dtype=float)
-    if times[0] != 0.0:
+    if times.size == 0 or times[0] != 0.0:
         times = np.concatenate([[0.0], times])
+    if not (np.all(np.diff(times) > 0.0) and times[-1] == t_end):
+        raise ValueError(
+            "sample times must be non-negative, strictly increasing and end at t_end"
+        )
 
     y = np.array(y0, dtype=float, copy=True)
     dim = y.size
@@ -186,12 +166,9 @@ def integrate(
         raise ValueError("state length does not match the coupling tables")
     n_freqs = tables.n_freqs
     y = _clamp_simplex(y, n_freqs, rtol, atol)
-    if conserve is None:
-        conserve = (
-            tables.gamma_r == 0.0
-            and tables.gamma_c == 0.0
-            and not np.any(tables.pump)
-        )
+    conserve = (
+        tables.gamma_r == 0.0 and tables.gamma_c == 0.0 and not np.any(tables.pump)
+    )
     if conserve:
         n_site = tables.atoms_per_site
         proj_denom = n_site * n_site * n_freqs + tables.n_modes
@@ -200,14 +177,10 @@ def integrate(
     snaps[0] = y
     next_i = 1
 
-    # The exponential method's embedded estimate is per-step; accumulated
-    # coefficient-lag error runs a few times larger, so its controller
-    # targets a fraction of the requested tolerance to deliver global error
-    # near rtol, matching the explicit method's behavior.
-    if method == "exponential-diagonal":
-        ctl = _StepController(1, 0.4 * rtol, 0.4 * atol, safety=0.8)
-    else:
-        ctl = _StepController(4, rtol, atol, safety=0.9)
+    # The embedded estimate is per-step; accumulated coefficient-lag error
+    # runs a few times larger, so the controller targets a fraction of the
+    # requested tolerance to deliver global error near rtol.
+    ctl = _StepController(1, 0.4 * rtol, 0.4 * atol, safety=0.8)
     t = 0.0
     # open conservatively: within the first snapshot interval and the
     # fastest diagonal rate
@@ -216,7 +189,6 @@ def integrate(
     h = max(h, 1e-300)
     n_accept = n_reject = 0
     min_step, max_step = math.inf, 0.0
-    f_first = rhs(y, tables) if method == "adaptive-explicit" else None
 
     while t < t_end:
         if n_accept + n_reject > max_steps:
@@ -225,21 +197,8 @@ def integrate(
         h_try = min(h, times[next_i] - t) if clamped else h
 
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            try:
-                if method == "exponential-diagonal":
-                    y_new, err = _step_exponential(y, h_try, tables)
-                else:
-                    k = np.empty((7, dim))
-                    k[0] = f_first
-                    for s in range(1, 7):
-                        y_s = y + h_try * (_DP_A[s] @ k[:s])
-                        k[s] = rhs(y_s, tables)
-                    y_new = y + h_try * (_DP_B5 @ k)
-                    err = h_try * ((_DP_B5 - _DP_B4) @ k)
-                bad = not np.all(np.isfinite(y_new))
-            except FloatingPointError:
-                bad = True
-        if bad:
+            y_new, err = _step_exponential(y, h_try, tables)
+        if not np.all(np.isfinite(y_new)):
             n_reject += 1
             h = h_try * 0.2
             continue
@@ -253,8 +212,6 @@ def integrate(
                 c = (target_excitation - total_excitation(y, tables)) / proj_denom
                 y[:n_freqs] += c * n_site
                 y[n_freqs:] += c
-            if method == "adaptive-explicit":
-                f_first = rhs(y, tables)  # FSAL does not survive the clamp
             n_accept += 1
             min_step, max_step = min(min_step, h_try), max(max_step, h_try)
             while next_i < times.size and t >= times[next_i] * (1.0 - 1e-14):
@@ -275,7 +232,7 @@ def integrate(
         states=snaps,
         n_freqs=n_freqs,
         metadata={
-            "method": method,
+            "method": METHOD,
             "rtol": rtol,
             "atol": atol,
             "accepted_steps": n_accept,

@@ -214,7 +214,6 @@ def stage_dynamics(ctx: RunContext) -> list[Path]:
     t = ctx.get_tables()
     opts = ctx.options
     t_end = float(opts.get("t_end", 1e-5))
-    method = opts.get("method", "exponential-diagonal")
     rtol = float(opts.get("rtol", 1e-4))
     atol = float(opts.get("atol", 1e-14))
     y0 = np.zeros(t.n_freqs + t.n_modes)
@@ -222,7 +221,6 @@ def stage_dynamics(ctx: RunContext) -> list[Path]:
         y0,
         t_end,
         t,
-        method=method,
         rtol=rtol,
         atol=atol,
         points_per_decade=int(opts.get("points_per_decade", 60)),
@@ -238,7 +236,7 @@ def stage_dynamics(ctx: RunContext) -> list[Path]:
         columns,
         ctx.csv_metadata(
             content="photon and electron occupation histories",
-            method=method,
+            method=traj.metadata["method"],
             rtol=rtol,
             atol=atol,
             t_end=t_end,
@@ -251,7 +249,7 @@ def stage_dynamics(ctx: RunContext) -> list[Path]:
         "rejected_steps": traj.metadata["rejected_steps"],
         "min_step": traj.metadata["min_step"],
         "max_step": traj.metadata["max_step"],
-        "method": method,
+        "method": traj.metadata["method"],
     }
     return [out, state_csv]
 

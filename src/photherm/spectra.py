@@ -54,6 +54,8 @@ def default_samples(omega_max: float, n_samples: int = DEFAULT_N_SAMPLES) -> np.
     """Uniform sample grid over (0, omega_max], excluding zero."""
     if omega_max <= 0.0:
         raise ValueError("omega_max must be positive")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     return np.linspace(omega_max / n_samples, omega_max, n_samples)
 
 

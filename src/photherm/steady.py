@@ -100,10 +100,11 @@ def _reduced_system(
     """
     photons = quasi_steady_photon(n_e, tables)
     y = tables.pack(n_e, photons)
-    residual = rhs(y, tables)[: tables.n_freqs]
+    a, b = affine_coefficients(y, tables)
+    residual = (a * y + b)[: tables.n_freqs]
+    a_e = a[: tables.n_freqs]
     proj = tables.WT @ n_e
     denom = tables.gamma_c + tables.g_photon * (tables.W_colsum - 2.0 * proj)
-    a_e = affine_coefficients(y, tables)[0][: tables.n_freqs]
     dphoton = (tables.g_photon * (1.0 + 2.0 * photons) / denom)[:, None] * tables.WT
     coupling = -tables.g_atom * (2.0 * n_e - 1.0)[:, None] * tables.W
     jacobian = np.diag(a_e) + coupling @ dphoton

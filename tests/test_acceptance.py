@@ -55,17 +55,11 @@ def runs(reduced_table):
         )
         y0 = np.zeros(tables.n_freqs + tables.n_modes)
         start = time.perf_counter()
-        traj = integrate(
-            y0, T_END, tables, method="exponential-diagonal", rtol=RTOL
-        )
+        traj = integrate(y0, T_END, tables, rtol=RTOL)
         reference = traj.final
         for refine_rtol in REFINE_RTOLS.get(name, ()):
             reference = integrate(
-                reference.copy(),
-                REFINE_T_END,
-                tables,
-                method="exponential-diagonal",
-                rtol=refine_rtol,
+                reference.copy(), REFINE_T_END, tables, rtol=refine_rtol
             ).final
         fixed = steady.solve_steady(reference, tables, tol=STEADY_TOL)
         out[name] = {
@@ -164,7 +158,7 @@ def test_c06_excitation_conservation(reduced_table):
     y0[: tables.n_freqs] = 0.2
     y0[tables.n_freqs :] = 0.1
     start = time.perf_counter()
-    traj = integrate(y0, 1e-10, tables, method="exponential-diagonal", rtol=1e-6)
+    traj = integrate(y0, 1e-10, tables, rtol=1e-6)
     totals = np.array([kinetics.total_excitation(s, tables) for s in traj.states])
     drift = float(np.max(np.abs(totals / totals[0] - 1.0)))
     print(f"criterion 6: excitation drift {drift:.3e} (< 1e-8); "
@@ -290,14 +284,7 @@ def test_c12_relaxation_closed_form(reduced_table):
     gr = p.relaxation_rate
     probes = np.array([0.1, 1.0, 10.0]) / gr
     y0 = np.zeros(tables.n_freqs + tables.n_modes)
-    traj = integrate(
-        y0,
-        probes[-1],
-        tables,
-        method="exponential-diagonal",
-        rtol=1e-8,
-        times=probes,
-    )
+    traj = integrate(y0, probes[-1], tables, rtol=1e-8, times=probes)
     worst = 0.0
     for i, tp in enumerate(probes):
         target = tables.fermi * -np.expm1(-gr * tp)

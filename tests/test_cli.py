@@ -246,3 +246,30 @@ class TestArgumentHandling:
         code = main(["modes", "--out-dir", str(tmp_path), "--param", "temperature=-4"])
         assert code == 2
         assert "bad parameters" in capsys.readouterr().err
+
+    def test_method_flag_has_one_choice(self, tmp_path):
+        code = main(["dynamics", "--out-dir", str(tmp_path), *FAST])
+        assert code == 0
+        m = json.loads((tmp_path / "run-manifest.json").read_text())
+        assert m["metrics"]["dynamics"]["method"] == "exponential-diagonal"
+        meta, _ = read_csv(tmp_path / "dynamics.csv")
+        assert meta["method"] == "exponential-diagonal"
+        with pytest.raises(SystemExit) as exc:
+            main(["dynamics", "--out-dir", str(tmp_path), "--method", "adaptive-explicit"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("ppd", ["0", "-5"])
+    def test_bad_points_per_decade_exits_1(self, tmp_path, capsys, ppd):
+        code = main(["dynamics", "--out-dir", str(tmp_path), *FAST,
+                     "--points-per-decade", ppd])
+        assert code == 1
+        assert f"points_per_decade must be at least 1, got {ppd}" in capsys.readouterr().err
+        assert not (tmp_path / "dynamics.csv").exists()
+
+    def test_zero_samples_exits_1(self, pipe_dir, tmp_path, capsys):
+        code = main(["spectrum", "--out-dir", str(tmp_path), "--preset", "eq-strong",
+                     "--scale", "reduced", "--input", str(pipe_dir / "steady-state.csv"),
+                     "--n-samples", "0"])
+        assert code == 1
+        assert "n_samples must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "spectrum.csv").exists()

@@ -3,12 +3,14 @@
 Oracles: the decoupled electron relaxes as f(1 - e^{-gamma_r t}) exactly, an
 uncoupled photon decays as e^{-gamma_c t} exactly, the loss-free system
 conserves the excitation count, and a single resonant pair started on its
-detailed-balance fixed point must stay there. Cross-method agreement and
-tolerance-halving convergence tie the two steppers to each other.
+detailed-balance fixed point must stay there. An independent scipy BDF
+solve with the analytic Jacobian is the reference for the stepper on the
+coupled system, and halving the tolerance must converge.
 """
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from photherm import atoms, kinetics
 from photherm.integrate import (
@@ -49,6 +51,11 @@ class TestLogTimes:
         with pytest.raises(ValueError):
             log_times(1e-17)
 
+    @pytest.mark.parametrize("ppd", [0, -5])
+    def test_bad_points_per_decade(self, ppd):
+        with pytest.raises(ValueError, match=f"points_per_decade must be at least 1, got {ppd}"):
+            log_times(1e-6, points_per_decade=ppd)
+
 
 class TestStepHelpers:
     def test_affine_step_matches_closed_form(self):
@@ -85,17 +92,23 @@ class TestStepHelpers:
 
 
 class TestValidation:
-    def test_unknown_method(self, reduced_tables):
-        y0 = np.zeros(reduced_tables.n_freqs + reduced_tables.n_modes)
-        with pytest.raises(ValueError):
-            integrate(y0, 1e-12, reduced_tables, method="leapfrog")
-
     def test_bad_horizon_and_tolerances(self, reduced_tables):
         y0 = np.zeros(reduced_tables.n_freqs + reduced_tables.n_modes)
         with pytest.raises(ValueError):
             integrate(y0, 0.0, reduced_tables)
         with pytest.raises(ValueError):
             integrate(y0, 1e-12, reduced_tables, rtol=0.0)
+
+    def test_times_past_the_horizon(self, reduced_tables):
+        y0 = np.zeros(reduced_tables.n_freqs + reduced_tables.n_modes)
+        with pytest.raises(ValueError, match="end at t_end"):
+            integrate(y0, 1e-14, reduced_tables, times=[1e-15, 1e-14, 1e-13, 1e-12])
+
+    @pytest.mark.parametrize("times", [[1e-13, 1e-14], [1e-14, 1e-14], [-1e-15, 1e-14]])
+    def test_times_not_increasing(self, reduced_tables, times):
+        y0 = np.zeros(reduced_tables.n_freqs + reduced_tables.n_modes)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            integrate(y0, times[-1], reduced_tables, times=times)
 
     def test_wrong_state_length(self, reduced_tables):
         with pytest.raises(ValueError):
@@ -123,9 +136,7 @@ class TestClosedFormLimits:
         gr = p.relaxation_rate
         probes = np.array([0.1, 1.0, 10.0]) / gr
         y0 = np.zeros(t.n_freqs + t.n_modes)
-        traj = integrate(
-            y0, probes[-1], t, method="exponential-diagonal", rtol=RT, times=probes
-        )
+        traj = integrate(y0, probes[-1], t, rtol=RT, times=probes)
         assert traj.times[0] == 0.0
         assert np.array_equal(traj.times[1:], probes)
         worst = 0.0
@@ -140,7 +151,7 @@ class TestClosedFormLimits:
         gc = p.photon_loss_rate
         y0 = np.zeros(t.n_freqs + t.n_modes)
         y0[t.n_freqs :] = 1.0
-        traj = integrate(y0, 60.0 / gc, t, method="exponential-diagonal", rtol=RT)
+        traj = integrate(y0, 60.0 / gc, t, rtol=RT)
         decay = traj.photon(3)
         assert np.max(np.abs(decay - np.exp(-gc * traj.times))) < RT
 
@@ -153,7 +164,7 @@ class TestClosedFormLimits:
             np.array([w0]), np.array([0.76]), np.array([w0]), p0
         )
         yfix = np.concatenate([t.fermi, kinetics.quasi_steady_photon(t.fermi, t)])
-        traj = integrate(yfix, 1e-8, t, method="exponential-diagonal", rtol=1e-6)
+        traj = integrate(yfix, 1e-8, t, rtol=1e-6)
         assert np.max(np.abs(traj.final / yfix - 1.0)) < 1e-12
 
 
@@ -163,7 +174,7 @@ class TestSaturation:
         gc = p.photon_loss_rate
         y0 = np.zeros(t.n_freqs + t.n_modes)
         y0[t.n_freqs :] = 1.0
-        traj = integrate(y0, 60.0 / gc, t, method="exponential-diagonal", rtol=RT)
+        traj = integrate(y0, 60.0 / gc, t, rtol=RT)
         t_sat = detect_saturation(traj, t.n_freqs + 3, threshold=0.1)
         # e^{-gc t} enters the 10% band of 0 at t = ln(10)/gc
         assert t_sat == pytest.approx(np.log(10.0) / gc, rel=0.05)
@@ -194,7 +205,7 @@ class TestConservation:
         y0 = np.zeros(t.n_freqs + t.n_modes)
         y0[: t.n_freqs] = 0.2
         y0[t.n_freqs :] = 0.1
-        traj = integrate(y0, 1e-10, t, method="exponential-diagonal", rtol=1e-6)
+        traj = integrate(y0, 1e-10, t, rtol=1e-6)
         assert traj.metadata["conservative_projection"] is True
         e = np.array([kinetics.total_excitation(s, t) for s in traj.states])
         assert np.max(np.abs(e / e[0] - 1.0)) < 1e-8
@@ -209,19 +220,42 @@ class TestConservation:
 @pytest.fixture(scope="module")
 def short_runs(reduced_tables):
     y0 = np.zeros(reduced_tables.n_freqs + reduced_tables.n_modes)
-    t_end = 1e-13
-    return {
-        ("exp", 1e-5): integrate(y0, t_end, reduced_tables,
-                                 method="exponential-diagonal", rtol=1e-5),
-        ("exp", 5e-6): integrate(y0, t_end, reduced_tables,
-                                 method="exponential-diagonal", rtol=5e-6),
-        ("dp", 1e-5): integrate(y0, t_end, reduced_tables,
-                                method="adaptive-explicit", rtol=1e-5,
-                                max_steps=500_000),
-        ("dp", 5e-6): integrate(y0, t_end, reduced_tables,
-                                method="adaptive-explicit", rtol=5e-6,
-                                max_steps=500_000),
-    }
+    return {rt: integrate(y0, 1e-13, reduced_tables, rtol=rt) for rt in (1e-5, 5e-6)}
+
+
+def bdf_reference(tables, times):
+    """States at `times` from scipy BDF with the analytic Jacobian, from the dark state.
+
+    rhs = a y + b with a = a0 + a1 s, b = b0 + b1 s and s = M y, where
+    M = [[0, W], [W^T, 0]], so J = diag(a) + (a1 y + b1) M.
+    """
+    nf = tables.n_freqs
+    coupling = np.zeros((nf + tables.n_modes,) * 2)
+    coupling[:nf, nf:] = tables.W
+    coupling[nf:, :nf] = tables.WT
+
+    def fun(_, y):
+        a, b = kinetics.affine_coefficients(y, tables)
+        return a * y + b
+
+    def jac(_, y):
+        a, _ = kinetics.affine_coefficients(y, tables)
+        return np.diag(a) + (tables.a1 * y + tables.b1)[:, None] * coupling
+
+    sol = solve_ivp(fun, (0.0, float(times[-1])), np.zeros(coupling.shape[0]),
+                    method="BDF", t_eval=times, jac=jac, rtol=1e-9, atol=1e-14)
+    assert sol.success, sol.message
+    return sol.y.T
+
+
+def floor_scaled_error(states, ref):
+    """Worst |y - ref| / max(|ref|, 1e-3 max|ref|) over snapshots (zero rows exact)."""
+    worst = 0.0
+    for y, r in zip(states, ref):
+        scale = np.maximum(np.abs(r), 1e-3 * float(np.max(np.abs(r))))
+        scale = np.where(scale > 0.0, scale, 1.0)
+        worst = max(worst, float(np.max(np.abs(y - r) / scale)))
+    return worst
 
 
 class TestMethodAgreement:
@@ -229,14 +263,14 @@ class TestMethodAgreement:
     def _rel(a: np.ndarray, b: np.ndarray) -> float:
         return float(np.max(np.abs(a - b) / (1e-12 + np.abs(b))))
 
-    def test_methods_agree_within_five_rtol(self, short_runs):
-        rel = self._rel(short_runs[("exp", 1e-5)].final, short_runs[("dp", 1e-5)].final)
-        assert rel < 5.0 * 1e-5
+    def test_methods_agree_within_five_rtol(self, short_runs, reduced_tables):
+        traj = short_runs[1e-5]
+        ref = bdf_reference(reduced_tables, traj.times)
+        assert floor_scaled_error(traj.states, ref) < 5.0 * 1e-5
 
     def test_halving_rtol_converges(self, short_runs):
-        for m in ("exp", "dp"):
-            shift = self._rel(short_runs[(m, 1e-5)].final, short_runs[(m, 5e-6)].final)
-            assert shift < 1e-5  # within the coarser run's error target
+        shift = self._rel(short_runs[1e-5].final, short_runs[5e-6].final)
+        assert shift < 1e-5  # within the coarser run's error target
 
     def test_snapshots_stay_on_simplex(self, short_runs, reduced_tables):
         nf = reduced_tables.n_freqs
@@ -246,13 +280,11 @@ class TestMethodAgreement:
             assert np.all(traj.states[:, nf:] >= 0.0)
 
     def test_metadata_records_solver(self, short_runs):
-        md = short_runs[("exp", 1e-5)].metadata
+        md = short_runs[1e-5].metadata
         assert md["method"] == "exponential-diagonal"
         assert md["rtol"] == 1e-5
         assert md["accepted_steps"] > 0
         assert 0.0 < md["min_step"] <= md["max_step"] <= 1e-13
-        md2 = short_runs[("dp", 1e-5)].metadata
-        assert md2["method"] == "adaptive-explicit"
 
 
 class TestTrajectoryAccessors:

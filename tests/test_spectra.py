@@ -140,6 +140,11 @@ class TestEmissionDetector:
         assert s.omega[0] > 0.0
         assert s.omega[-1] == pytest.approx(4e14)
 
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_bad_sample_count(self, n_samples):
+        with pytest.raises(ValueError, match=f"n_samples must be at least 1, got {n_samples}"):
+            spectra.default_samples(4e14, n_samples)
+
     def test_bad_width(self):
         t = toy([1e14], [0.2])
         with pytest.raises(ValueError):

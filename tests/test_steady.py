@@ -35,8 +35,7 @@ def reduced_solves(reduced_tables):
     """Trajectory-seeded and analytic-seeded solves of the strong-damping
     reduced system, shared across the cross-method tests."""
     y0 = np.zeros(reduced_tables.n_freqs + reduced_tables.n_modes)
-    traj = integrate(y0, 1e-5, reduced_tables, method="exponential-diagonal",
-                     rtol=1e-4)
+    traj = integrate(y0, 1e-5, reduced_tables, rtol=1e-4)
     from_traj = steady.solve_steady(traj.final, reduced_tables, tol=TOL)
     from_seed = steady.solve_steady(
         steady.seed_guess(reduced_tables), reduced_tables, tol=TOL
