@@ -98,7 +98,7 @@ def band_structure(table: ModeTable) -> BandStructure:
     exactly at the nearest crystal-class modes (or at 0 / omega_max). Gaps
     narrower than MIN_GAP_SPACING_FACTOR empty-cavity spacings are dropped.
     """
-    cc = table.is_crystal.astype(bool)
+    cc = table.is_crystal
     omega_cc = table.omega[cc]
     k_cc = table.k_assigned[cc]
 

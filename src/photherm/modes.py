@@ -15,9 +15,13 @@ number of eigenfrequencies below any frequency (`count_below`), and every
 root is bisected on that count alone, all roots in one vectorized pass
 (`scan_eigenfrequencies`). The same phase, stopped just left of the last
 plane at L_c, gives the number of positive field maxima inside the stack
-in closed form (`count_peaks`). The normalization propagates the pair
-itself, which stays O(1) up to the accumulated shear factors; these fit
-comfortably in double precision for all supported plane strengths.
+in closed form (`count_peaks`). The normalization and the confinement
+factor come in closed form from the phases the same propagation passes at
+the planes (`normalize_modes`): free flight keeps the amplitude R of
+(u, w) = R (sin Theta, cos Theta), each plane multiplies R^2 by a factor
+read off its arriving phase, and every region's integral of u^2 follows
+from R^2 and the phases at its two ends. There is one loop over the planes,
+in `_pruefer_phase`.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ SCAN_SPACING_FACTOR = 0.3
 ROOT_RTOL = 1e-12
 # Format of a saved ModeTable; a file with another (or no) version is stale
 # and solved again. Raise it whenever a saved field changes layout or value.
-CENSUS_VERSION = 2
+CENSUS_VERSION = 3
 
 
 @dataclass
@@ -47,14 +51,13 @@ class ModeTable:
     gamma_conf is the confinement factor: the fraction of the plain field
     energy integral int u^2 dz that falls inside the plane stack [0, L_c].
     Delta-plane terms enter the mode normalization but not this ratio.
+    k_assigned and is_crystal derive from the stored columns and geometry.
     census_version is the CENSUS_VERSION the table was solved under.
     """
 
     omega: np.ndarray
     gamma_conf: np.ndarray
     m_peak: np.ndarray
-    k_assigned: np.ndarray
-    is_crystal: np.ndarray
 
     # geometry the table depends on
     plane_strength: float
@@ -69,14 +72,22 @@ class ModeTable:
     def n_modes(self) -> int:
         return self.omega.size
 
+    @property
+    def k_assigned(self) -> np.ndarray:
+        """Bloch wavenumber 2*pi*m_peak/L_c: one positive hump per wavelength."""
+        return 2.0 * math.pi * self.m_peak / self.crystal_length
+
+    @property
+    def is_crystal(self) -> np.ndarray:
+        """Modes holding more of their energy in the stack than an even spread."""
+        return self.gamma_conf > self.crystal_length / self.cavity_length
+
     def save(self, path: str | Path) -> None:
         np.savez_compressed(
             path,
             omega=self.omega,
             gamma_conf=self.gamma_conf,
             m_peak=self.m_peak,
-            k_assigned=self.k_assigned,
-            is_crystal=self.is_crystal,
             census_version=self.census_version,
             geometry=np.array(
                 [
@@ -98,8 +109,6 @@ class ModeTable:
             omega=data["omega"],
             gamma_conf=data["gamma_conf"],
             m_peak=data["m_peak"],
-            k_assigned=data["k_assigned"],
-            is_crystal=data["is_crystal"],
             plane_strength=float(geo[0]),
             cavity_length=float(geo[1]),
             crystal_length=float(geo[2]),
@@ -130,9 +139,11 @@ class ModeTable:
 def _pruefer_phase(q: np.ndarray, params: PhysicalParams, end: float):
     """Pruefer phase Theta = m*pi + rho of the pair shot from z = 0, at z = end.
 
-    Returns (m, rho) with integer m and residual rho in [0, pi). Only the
-    planes strictly before `end` shear the pair, so a plane sitting at `end`
-    is left out and the phase is the one just left of it.
+    Returns (m, rho, rho_planes) with integer m and residual rho in [0, pi)
+    at `end`, and rho_planes of shape (q.size, n) holding the residual phase
+    arriving at each of the n planes strictly before `end`, before its
+    shear. A plane sitting at `end` is left out, so the phase is the one
+    just left of it.
 
     Free propagation advances Theta rigidly by q*d; a plane shear (u fixed,
     w reduced by q*eta*u) moves Theta forward but never across a multiple
@@ -142,21 +153,23 @@ def _pruefer_phase(q: np.ndarray, params: PhysicalParams, end: float):
     to rounding.
     """
     eta = params.plane_strength
+    planes = params.plane_positions
+    planes = planes[planes < end]
     m = np.zeros(q.shape, dtype=np.int64)
     rho = np.zeros_like(q)
+    rho_planes = np.empty((q.size, planes.size))
     prev = 0.0
-    planes = params.plane_positions
-    for z in planes[planes < end]:
+    for i, z in enumerate(planes):
         adv = rho + q * (z - prev)
         m += np.floor(adv / np.pi).astype(np.int64)
-        rho = np.mod(adv, np.pi)
+        rho = rho_planes[:, i] = np.mod(adv, np.pi)
         if eta != 0.0:
             s, c = np.sin(rho), np.cos(rho)  # s >= 0 since rho in [0, pi)
             rho = np.mod(np.arctan2(s, c - q * eta * s), np.pi)
         prev = z
     adv = rho + q * (end - prev)
     m += np.floor(adv / np.pi).astype(np.int64)
-    return m, np.mod(adv, np.pi)
+    return m, np.mod(adv, np.pi), rho_planes
 
 
 def count_below(omega, params: PhysicalParams) -> np.ndarray:
@@ -211,74 +224,47 @@ def scan_eigenfrequencies(
 # ----------------------------------------------------------------------
 
 
-def _region_states(omega: np.ndarray, params: PhysicalParams):
-    """Propagate (u, w) and record the state entering each region.
-
-    Returns (z_edges, U, W) where z_edges has length n_regions + 1
-    (0, z_1, ..., z_n, L) and U, W have shape (n_modes, n_regions) holding
-    the unnormalized field state at each region's left edge.
-    """
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    q = omega / C
-    eta = params.plane_strength
-    z_edges = np.concatenate(([0.0], params.plane_positions, [params.cavity_length]))
-    n_regions = z_edges.size - 1
-    U = np.empty((omega.size, n_regions))
-    W = np.empty((omega.size, n_regions))
-    u = np.zeros_like(q)
-    w = np.ones_like(q)
-    for r in range(n_regions):
-        U[:, r] = u
-        W[:, r] = w
-        phi = q * (z_edges[r + 1] - z_edges[r])
-        cp, sp = np.cos(phi), np.sin(phi)
-        u, w = u * cp + w * sp, -u * sp + w * cp
-        if r + 1 < n_regions:  # interior edge: a plane
-            w = w - q * eta * u
-    return z_edges, U, W
-
-
-def _region_integrals(omega: np.ndarray, z_edges: np.ndarray, U, W):
-    """Closed-form integral of u^2 over each region.
-
-    For u(s) = u0 cos(q s) + w0 sin(q s) on [0, d]:
-    int u^2 ds = d (u0^2 + w0^2)/2 + sin(2qd) (u0^2 - w0^2)/(4q)
-                 + u0 w0 (1 - cos(2qd))/(2q)
-    """
-    q = (np.atleast_1d(omega) / C)[:, None]
-    d = np.diff(z_edges)[None, :]
-    s2 = np.sin(2.0 * q * d)
-    c2 = np.cos(2.0 * q * d)
-    return (
-        0.5 * d * (U**2 + W**2)
-        + s2 / (4.0 * q) * (U**2 - W**2)
-        + U * W * (1.0 - c2) / (2.0 * q)
-    )
-
-
 def normalize_modes(omega: np.ndarray, params: PhysicalParams):
-    """Normalize each mode to int eps(z) u^2 dz / eps0 = 1.
+    """Normalize each mode to int eps(z) u^2 dz / eps0 = 1, in closed form.
 
-    Returns (U, segment_integrals), both already scaled: U holds the field
-    state u entering each region, so U[:, 1:] is u at the planes. The
-    delta-plane terms eta * u(z_i)^2 enter the norm (they are part of eps)
-    but are not part of the segment integrals.
+    With (u, w) = R (sin Theta, cos Theta), free flight keeps R and advances
+    Theta by q*d, so a region of length d that the field leaves with phase
+    theta_a and reaches its right end with phase theta_b holds
+
+        int u^2 dz = R^2 [d/2 - (sin 2 theta_b - sin 2 theta_a) / (4q)]
+
+    A plane reached with residual phase rho, s = sin(rho), c = cos(rho),
+    keeps u = R s and shears w to R g with g = c - q*eta*s: R^2 grows by
+    h = s^2 + g^2, and the phase leaving it has sin 2 theta = 2 s g / h.
+    Region 0 leaves z = 0 with theta = 0 and R = 1; the last region reaches
+    L with the phase at L. All of it comes from the phases `_pruefer_phase`
+    passes at the planes, with no second propagation.
+
+    Returns (u2_planes, segment_integrals), both already scaled: u^2 at each
+    plane and the plain integral of u^2 over each region, from [0, z_1] to
+    [z_n, L]. The delta-plane terms eta * u(z_i)^2 enter the norm (they are
+    part of eps) but are not part of the segment integrals.
     """
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    z_edges, U, W = _region_states(omega, params)
-    seg = _region_integrals(omega, z_edges, U, W)
-    # u at plane i is the entering state of region i+1 (continuity)
-    u_planes = U[:, 1:]
-    delta_part = params.plane_strength * np.sum(u_planes**2, axis=1)
-    total = seg.sum(axis=1) + delta_part
-    scale = 1.0 / np.sqrt(total)
-    return U * scale[:, None], seg * (scale**2)[:, None]
+    q = np.atleast_1d(np.asarray(omega, dtype=float)) / C
+    _, rho_end, rho = _pruefer_phase(q, params, params.cavity_length)
+    s, c = np.sin(rho), np.cos(rho)
+    g = c - (q * params.plane_strength)[:, None] * s
+    h = s**2 + g**2
+    ones, zeros = np.ones((q.size, 1)), np.zeros((q.size, 1))
+    r2 = np.cumprod(np.hstack([ones, h]), axis=1)  # R^2 in each region
+    sin_arrive = np.hstack([2.0 * s * c, np.sin(2.0 * rho_end)[:, None]])
+    sin_leave = np.hstack([zeros, 2.0 * s * g / h])
+    z_edges = np.concatenate(([0.0], params.plane_positions, [params.cavity_length]))
+    seg = r2 * (0.5 * np.diff(z_edges) - (sin_arrive - sin_leave) / (4.0 * q[:, None]))
+    u2_planes = r2[:, :-1] * s**2
+    scale2 = 1.0 / (seg.sum(axis=1) + params.plane_strength * u2_planes.sum(axis=1))
+    return u2_planes * scale2[:, None], seg * scale2[:, None]
 
 
 def norm_residuals(omega: np.ndarray, params: PhysicalParams) -> np.ndarray:
     """|int eps u^2 / eps0 - 1| for normalized modes (test hook)."""
-    U, seg = normalize_modes(omega, params)
-    delta_part = params.plane_strength * np.sum(U[:, 1:] ** 2, axis=1)
+    u2_planes, seg = normalize_modes(omega, params)
+    delta_part = params.plane_strength * np.sum(u2_planes, axis=1)
     return np.abs(seg.sum(axis=1) + delta_part - 1.0)
 
 
@@ -294,7 +280,7 @@ def count_peaks(omega: np.ndarray, params: PhysicalParams) -> np.ndarray:
     mode inside the stack.
     """
     q = np.atleast_1d(np.asarray(omega, dtype=float)) / C
-    m, rho = _pruefer_phase(q, params, params.crystal_length)
+    m, rho, _ = _pruefer_phase(q, params, params.crystal_length)
     return (m + 1) // 2 + ((m % 2 == 0) & (rho > 0.5 * np.pi))
 
 
@@ -309,16 +295,10 @@ def solve_modes(params: PhysicalParams, omega_max: float | None = None) -> ModeT
     _, seg = normalize_modes(omega, params)
     n_inside = params.n_planes  # regions [0, z_1], ..., [z_{n-1}, L_c]
     gamma_conf = seg[:, :n_inside].sum(axis=1) / seg.sum(axis=1)
-    m_peak = count_peaks(omega, params)
-    k_assigned = 2.0 * math.pi * m_peak / params.crystal_length
-    is_crystal = gamma_conf > params.crystal_length / params.cavity_length
-
     return ModeTable(
         omega=omega,
         gamma_conf=gamma_conf,
-        m_peak=m_peak,
-        k_assigned=k_assigned,
-        is_crystal=is_crystal,
+        m_peak=count_peaks(omega, params),
         plane_strength=params.plane_strength,
         cavity_length=params.cavity_length,
         crystal_length=params.crystal_length,

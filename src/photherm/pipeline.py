@@ -122,7 +122,7 @@ def load_or_solve_modes(
 
 
 def _class_labels(table: modes.ModeTable) -> np.ndarray:
-    return np.where(table.is_crystal.astype(bool), "crystal", "cavity")
+    return np.where(table.is_crystal, "crystal", "cavity")
 
 
 def _write_state(ctx: RunContext, path: Path, state: np.ndarray) -> Path:
@@ -175,7 +175,7 @@ def stage_modes(ctx: RunContext) -> list[Path]:
         ctx.csv_metadata(content="eigenmode census"),
     )
     ctx.manifest.metrics.setdefault("modes", {})["n_modes"] = int(table.n_modes)
-    return [out] + stage_bands(ctx)
+    return [out]
 
 
 def stage_bands(ctx: RunContext) -> list[Path]:
@@ -332,7 +332,8 @@ def stage_spectrum(ctx: RunContext) -> list[Path]:
                 "no input state: pass --input or run the dynamics/steady stage first"
             )
     _, photons = t.split(state)
-    gamma_d = float(opts.get("gamma_d") or ctx.params.detector_width)
+    gamma_d = opts.get("gamma_d")
+    gamma_d = float(ctx.params.detector_width if gamma_d is None else gamma_d)
     samples = spectra.default_samples(
         ctx.params.omega_max, int(opts.get("n_samples", spectra.DEFAULT_N_SAMPLES))
     )
@@ -387,6 +388,8 @@ def run_pipeline(
 ) -> RunManifest:
     """Execute the requested stages in dependency order and write a manifest.
 
+    Requesting "modes" runs "bands" after it, so a census always comes with
+    its band structure; each stage writes and lists only its own files.
     Unknown stage names raise before anything runs.  A stage failure
     propagates as StageError carrying the stage name; files written by
     earlier stages and the manifest (with the failure recorded) remain on
@@ -395,7 +398,8 @@ def run_pipeline(
     unknown = [s for s in stages if s not in STAGE_FUNCTIONS]
     if unknown:
         raise ValueError(f"unknown stages {unknown}; choose from {list(STAGE_ORDER)}")
-    ordered = [s for s in STAGE_ORDER if s in stages]
+    wanted = set(stages) | ({"bands"} if "modes" in stages else set())
+    ordered = [s for s in STAGE_ORDER if s in wanted]
     out_dir = Path(out_dir)
     manifest = RunManifest(
         params=params.to_dict(),

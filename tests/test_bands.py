@@ -53,7 +53,7 @@ class TestGapIntervals:
         assert not in_gap(1.02e14)
 
     def test_no_crystal_modes_inside_gaps(self, full_table, full_bands):
-        omega_cc = full_table.omega[full_table.is_crystal.astype(bool)]
+        omega_cc = full_table.omega[full_table.is_crystal]
         for lo, hi in full_bands.gaps:
             assert not np.any((omega_cc > lo) & (omega_cc < hi))
 

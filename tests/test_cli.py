@@ -75,7 +75,7 @@ class TestPipeline:
     def test_manifest_contents(self, pipe_dir):
         m = json.loads((pipe_dir / "run-manifest.json").read_text())
         assert m["tool_version"] == __version__
-        assert m["stages"] == ["modes", "dynamics", "steady", "spectrum"]
+        assert m["stages"] == ["modes", "bands", "dynamics", "steady", "spectrum"]
         assert m["preset"] == "eq-strong" and m["scale"] == "reduced"
         assert m["metrics"]["steady"]["converged"] is True
         dyn = m["metrics"]["dynamics"]
@@ -133,6 +133,14 @@ class TestPipeline:
         for name in ("modes.csv", "bands.csv", "gaps.csv"):
             assert (tmp_path / name).exists()
         assert not (tmp_path / "dynamics.csv").exists()
+
+    @pytest.mark.parametrize("stages", ["modes", "modes,bands"])
+    def test_each_file_listed_under_one_stage(self, tmp_path, stages):
+        code = main(["pipeline", "--out-dir", str(tmp_path), *FAST, "--stages", stages])
+        assert code == 0
+        m = json.loads((tmp_path / "run-manifest.json").read_text())
+        assert m["stages"] == ["modes", "bands"]
+        assert m["outputs"] == {"modes": ["modes.csv"], "bands": ["bands.csv", "gaps.csv"]}
 
     def test_unknown_stage_rejected(self, tmp_path):
         code = main(["pipeline", "--out-dir", str(tmp_path), *FAST, "--stages", "fft"])
@@ -272,4 +280,12 @@ class TestArgumentHandling:
                      "--n-samples", "0"])
         assert code == 1
         assert "n_samples must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "spectrum.csv").exists()
+
+    def test_zero_detector_width_exits_1(self, pipe_dir, tmp_path, capsys):
+        code = main(["spectrum", "--out-dir", str(tmp_path), "--preset", "eq-strong",
+                     "--scale", "reduced", "--input", str(pipe_dir / "steady-state.csv"),
+                     "--gamma-d", "0"])
+        assert code == 1
+        assert "gamma_d must be positive" in capsys.readouterr().err
         assert not (tmp_path / "spectrum.csv").exists()

@@ -3,7 +3,9 @@
 With no planes the eigenproblem is u'' + q^2 u = 0, u(0) = u(L) = 0, whose
 solutions are known exactly: Omega_n = n pi c / L, u_n = sqrt(2/L) sin(n pi
 z/L), confinement L_c/L - sin(2 pi n L_c/L)/(2 pi n). Every solver path is
-validated against these before the planes are switched on.
+validated against these before the planes are switched on. With planes, the
+closed-form normalization is checked against an independent reference that
+propagates the field pair (u, w) itself.
 """
 
 import dataclasses
@@ -37,6 +39,51 @@ def empty_gamma(n: np.ndarray, ratio: float) -> np.ndarray:
     return ratio - np.sin(2.0 * math.pi * n * ratio) / (2.0 * math.pi * n)
 
 
+def reference_region_states(omega, p):
+    """Propagate (u, w) = (u, u'/q) from (0, 1) at z = 0 through every region.
+
+    Returns (z_edges, U, W): z_edges is (0, z_1, ..., z_n, L), and U, W of
+    shape (n_modes, n_regions) hold the unnormalized state at each region's
+    left edge. Free flight rotates the pair by q*d; a plane shears w by
+    -q*eta*u.
+    """
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    q = omega / C
+    z_edges = np.concatenate(([0.0], p.plane_positions, [p.cavity_length]))
+    n_regions = z_edges.size - 1
+    U = np.empty((omega.size, n_regions))
+    W = np.empty((omega.size, n_regions))
+    u, w = np.zeros_like(q), np.ones_like(q)
+    for r in range(n_regions):
+        U[:, r], W[:, r] = u, w
+        phi = q * (z_edges[r + 1] - z_edges[r])
+        cp, sp = np.cos(phi), np.sin(phi)
+        u, w = u * cp + w * sp, -u * sp + w * cp
+        if r + 1 < n_regions:  # interior edge: a plane
+            w = w - q * p.plane_strength * u
+    return z_edges, U, W
+
+
+def reference_normalization(omega, p):
+    """(u^2 at the planes, u^2 integral per region), normalized, from the pair.
+
+    For u(s) = u0 cos(q s) + w0 sin(q s) on [0, d]:
+    int u^2 ds = d (u0^2 + w0^2)/2 + sin(2qd) (u0^2 - w0^2)/(4q)
+                 + u0 w0 (1 - cos(2qd))/(2q)
+    """
+    z_edges, U, W = reference_region_states(omega, p)
+    q = (np.atleast_1d(omega) / C)[:, None]
+    d = np.diff(z_edges)[None, :]
+    seg = (
+        0.5 * d * (U**2 + W**2)
+        + np.sin(2.0 * q * d) / (4.0 * q) * (U**2 - W**2)
+        + U * W * (1.0 - np.cos(2.0 * q * d)) / (2.0 * q)
+    )
+    u2 = U[:, 1:] ** 2  # u at plane i enters region i + 1
+    total = seg.sum(axis=1) + p.plane_strength * u2.sum(axis=1)
+    return u2 / total[:, None], seg / total[:, None]
+
+
 def sampled_peak_count(omega, p, per_wavelength=400, chunk=128):
     """Positive maxima of the field in (0, L_c), counted on a dense grid.
 
@@ -50,7 +97,7 @@ def sampled_peak_count(omega, p, per_wavelength=400, chunk=128):
     counts = np.empty(omega.size, dtype=np.int64)
     for a in range(0, omega.size, chunk):
         om = omega[a : a + chunk]
-        _, U, W = modes._region_states(om, p)
+        _, U, W = reference_region_states(om, p)
         U, W = U[:, : p.n_planes, None], W[:, : p.n_planes, None]
         phase = (om / C)[:, None, None] * s
         c, sn = np.cos(phase), np.sin(phase)
@@ -93,7 +140,8 @@ class TestEmptyCavity:
         assert np.array_equal(modes.count_below(om, empty_full), n)
 
     def test_gamma_closed_form(self, empty_full):
-        table = modes.solve_modes(empty_full, omega_max=2e13)
+        table = modes.solve_modes(empty_full)
+        assert table.n_modes == FULL_EMPTY_COUNT
         n = np.arange(1, table.n_modes + 1)
         ratio = empty_full.crystal_length / empty_full.cavity_length
         assert np.max(np.abs(table.gamma_conf - empty_gamma(n, ratio))) < 1e-12
@@ -135,6 +183,22 @@ class TestNormalization:
     def test_norm_residual_full_scale(self, full_params, full_table):
         res = modes.norm_residuals(full_table.omega[::29], full_params)
         assert np.max(res) < 1e-10
+
+    @pytest.mark.parametrize("scale", ["full", "reduced"])
+    @pytest.mark.parametrize("factor", [0.25, 1.0, 4.0])
+    def test_closed_form_matches_propagated_pair(self, full_params, scale, factor):
+        p = apply_scale(
+            full_params.replace(plane_strength=full_params.plane_strength * factor), scale
+        )
+        table = modes.solve_modes(p)
+        u2_ref, seg_ref = reference_normalization(table.omega, p)
+        gamma_ref = seg_ref[:, : p.n_planes].sum(axis=1) / seg_ref.sum(axis=1)
+        assert np.max(np.abs(table.gamma_conf / gamma_ref - 1.0)) < 1e-10
+        # shares of the norm: the delta-plane terms eta*u(z_i)^2 and the
+        # plain integral of each region
+        u2, seg = modes.normalize_modes(table.omega, p)
+        assert np.max(p.plane_strength * np.abs(u2 - u2_ref)) < 1e-10
+        assert np.max(np.abs(seg - seg_ref)) < 1e-10
 
 
 class TestWithPlanes:
@@ -204,32 +268,34 @@ class TestModeTable:
         assert not stale.matches(reduced_params)
 
     def test_old_layout_cache_is_solved_again(self, reduced_table, reduced_params, tmp_path):
-        # a census saved before the format was versioned (init_slope, no
-        # version), with a wrong m_peak standing in for the old sampled count
+        # censuses saved by earlier formats, each with a wrong m_peak standing
+        # in for its stale values: unversioned with init_slope, and version 2
+        # with the derived k_assigned and is_crystal columns stored
         path = tmp_path / "cache" / f"modes-{reduced_params.mode_cache_key()}.npz"
         path.parent.mkdir()
         t = reduced_table
-        np.savez_compressed(
-            path,
+        geometry = np.array(
+            [
+                t.plane_strength,
+                t.cavity_length,
+                t.crystal_length,
+                t.plane_spacing,
+                float(t.n_planes),
+                t.omega_max,
+            ]
+        )
+        columns = dict(
             omega=t.omega,
             gamma_conf=t.gamma_conf,
             m_peak=t.m_peak - 1,
             k_assigned=t.k_assigned,
             is_crystal=t.is_crystal,
-            init_slope=np.ones(t.n_modes),
-            geometry=np.array(
-                [
-                    t.plane_strength,
-                    t.cavity_length,
-                    t.crystal_length,
-                    t.plane_spacing,
-                    float(t.n_planes),
-                    t.omega_max,
-                ]
-            ),
+            geometry=geometry,
         )
-        assert not modes.ModeTable.load(path).matches(reduced_params)
-        table, from_cache = pipeline.load_or_solve_modes(reduced_params, tmp_path)
-        assert not from_cache
-        assert np.array_equal(table.m_peak, t.m_peak)
-        assert modes.ModeTable.load(path).matches(reduced_params)
+        for extra in (dict(init_slope=np.ones(t.n_modes)), dict(census_version=2)):
+            np.savez_compressed(path, **columns, **extra)
+            assert not modes.ModeTable.load(path).matches(reduced_params)
+            table, from_cache = pipeline.load_or_solve_modes(reduced_params, tmp_path)
+            assert not from_cache
+            assert np.array_equal(table.m_peak, t.m_peak)
+            assert modes.ModeTable.load(path).matches(reduced_params)

@@ -23,8 +23,6 @@ def toy(omega, gamma):
         omega=omega,
         gamma_conf=gamma,
         m_peak=np.arange(n),
-        k_assigned=np.zeros(n),
-        is_crystal=np.zeros(n, dtype=bool),
         plane_strength=0.0,
         cavity_length=1.0,
         crystal_length=0.1,
