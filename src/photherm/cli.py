@@ -15,11 +15,14 @@ import argparse
 import os
 import sys
 
-from .integrate import METHOD
 from .params import build_params
 from .pipeline import StageError, run_pipeline
 
 PRESET_NAMES = ("eq-strong", "eq-weak", "eq-lossy", "noneq")
+# parsed arguments that select the parameters or the run, not a stage option
+NOT_STAGE_OPTIONS = (
+    "command", "config", "param", "preset", "scale", "out_dir", "stages", "method"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,13 +96,13 @@ def _add_dynamics_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--atol", type=float, default=1e-14)
     p.add_argument(
         "--method",
-        choices=(METHOD,),
-        default=METHOD,
-        help="time stepper (one choice; the flag goes with the next benchmark "
-        "change)",
+        choices=("exponential-diagonal",),
+        help="ignored: dynamics always runs scipy BDF; the flag is still "
+        "accepted so that older command lines parse",
     )
     p.add_argument(
         "--probe-freq",
+        dest="probe_freqs",
         type=float,
         action="append",
         default=[],
@@ -148,24 +151,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "pipeline"
         else [args.command]
     )
-    options = {
-        key: getattr(args, attr)
-        for key, attr in (
-            ("t_end", "t_end"),
-            ("rtol", "rtol"),
-            ("atol", "atol"),
-            ("probe_freqs", "probe_freq"),
-            ("points_per_decade", "points_per_decade"),
-            ("tol", "tol"),
-            ("seed_from", "seed_from"),
-            ("input", "input"),
-            ("gamma_d", "gamma_d"),
-            ("blackbody", "blackbody"),
-            ("ratio", "ratio"),
-            ("n_samples", "n_samples"),
-        )
-        if hasattr(args, attr)
-    }
+    options = {k: v for k, v in vars(args).items() if k not in NOT_STAGE_OPTIONS}
     try:
         manifest = run_pipeline(
             params,

@@ -12,12 +12,12 @@ g_p = N_j g_a exactly, which makes the interaction part of
 sum_k N_k + N_j sum_n n_e a conserved quantity.
 
 One kernel serves rhs and affine_coefficients: rhs = a * y + b with
-a = a0 + a1 * s, b = b0 + b1 * s and s = [W N ; W^T n], two BLAS products.
-Dynamics output was measured byte-identical at one and two OpenBLAS
-threads at reduced scale (a test pins this), but not at full scale, where
-a few final-state values differed in the last bit.  The steady solver's
-dense product and LU also go through BLAS/LAPACK.  Only a fixed thread
-count guarantees bit-reproducible output.
+a = a0 + a1 * s, b = b0 + b1 * s and s = [W N ; n W], two BLAS products.
+One more kernel, ShiftedLU, factors sigma*I - c*J for the Newton step of
+the steady solver (sigma = 0) and the BDF iterations of the time stepper
+(sigma = 1).  Both go through BLAS and LAPACK, whose results depend on the
+thread count in the last bits: output is bit-reproducible only at a fixed
+thread count.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
 from . import atoms
 from .params import PhysicalParams
@@ -34,8 +35,7 @@ from .params import PhysicalParams
 class CouplingTables:
     """Precomputed atom-mode coupling weights plus the bath functions.
 
-    W has shape (n_atom_freqs, n_modes); WT is a contiguous transpose so both
-    reduction directions stream memory linearly. fermi and pump are the
+    W has shape (n_atom_freqs, n_modes). fermi and pump are the
     equilibrium and pumping rates on the atom grid; rates and coupling
     constants are copied out of params so the rhs needs no other context.
     a0, a1, b0 and b1 are the packed rhs constants (see the module
@@ -46,7 +46,6 @@ class CouplingTables:
     omega_modes: np.ndarray
     gamma_conf: np.ndarray
     W: np.ndarray
-    WT: np.ndarray = field(repr=False)
     W_colsum: np.ndarray = field(repr=False)
     fermi: np.ndarray = field(repr=False)
     pump: np.ndarray = field(repr=False)
@@ -107,7 +106,6 @@ def build_tables(
         omega_modes=om_m,
         gamma_conf=gam,
         W=W,
-        WT=np.ascontiguousarray(W.T),
         W_colsum=np.einsum("nk->k", W, optimize=False),
         fermi=atoms.fermi_dirac(om_a, params.temperature),
         pump=atoms.pump_rate(om_a, params.temperature, params),
@@ -122,7 +120,7 @@ def build_tables(
 def _coefficients(y: np.ndarray, tables: CouplingTables) -> tuple[np.ndarray, np.ndarray]:
     s, nf = np.empty_like(tables.a0), tables.n_freqs
     np.matmul(tables.W, y[nf:], out=s[:nf])  # sum_k W_nk N_k
-    np.matmul(tables.WT, y[:nf], out=s[nf:])  # sum_n W_nk n_e
+    np.matmul(y[:nf], tables.W, out=s[nf:])  # sum_n n_e W_nk
     return tables.a0 + tables.a1 * s, tables.b0 + tables.b1 * s
 
 
@@ -155,12 +153,47 @@ def total_excitation(y: np.ndarray, tables: CouplingTables) -> float:
 def quasi_steady_photon(n_e: np.ndarray, tables: CouplingTables) -> np.ndarray:
     """Photon fixed point at frozen populations.
 
-    N_k = g_p (W^T n)_k / (gamma_c + g_p (W^T (1 - 2n))_k); the denominator
+    N_k = g_p (n W)_k / (gamma_c + g_p ((1 - 2n) W)_k); the denominator
     must stay positive - otherwise stimulated gain beats the losses and that
     mode has no steady state at these populations.
     """
-    proj = tables.WT @ np.asarray(n_e, dtype=float)
+    proj = np.asarray(n_e, dtype=float) @ tables.W
     denom = tables.gamma_c + tables.g_photon * (tables.W_colsum - 2.0 * proj)
     if np.any(denom <= 0.0):
         raise ValueError("non-positive denominator: inverted gain, no fixed point")
     return tables.g_photon * proj / denom
+
+
+class ShiftedLU:
+    """LU factorization of M = sigma*I - c*J, J the Jacobian of rhs at y.
+
+    J = diag(a) + [[0, diag(e) W], [diag(q) W^T, 0]], with a from
+    affine_coefficients and (e, q) = a1 * y + b1.  M's photon block is the
+    diagonal d = sigma - c*a_p, so eliminating it leaves the dense
+    n_freqs x n_freqs Schur complement
+        S = diag(sigma - c*a_e) - diag(c e) W diag(c q / d) W^T
+    (Golub & Van Loan, Matrix Computations, sec. 3.2), factored once by
+    LAPACK; each solve is then two gemv calls and one triangular pair.
+    No n_total x n_total array is built.  Newton on rhs = 0 uses sigma = 0,
+    c = -1 (M = J); a BDF iteration uses sigma = 1.
+    """
+
+    def __init__(self, y: np.ndarray, tables: CouplingTables, sigma: float, c: float):
+        nf = tables.n_freqs
+        a, _ = _coefficients(y, tables)
+        eq = tables.a1 * y + tables.b1
+        self.W = tables.W
+        self.ce = c * eq[:nf]
+        self.d = sigma - c * a[nf:]
+        self.g = c * eq[nf:] / self.d
+        schur = (self.W * self.g) @ self.W.T
+        schur *= -self.ce[:, None]
+        schur[np.diag_indices(nf)] += sigma - c * a[:nf]
+        self.lu = lu_factor(schur, overwrite_a=True, check_finite=False)
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """x with M x = r."""
+        nf = self.ce.size
+        r_p = r[nf:] / self.d
+        x_e = lu_solve(self.lu, r[:nf] + self.ce * (self.W @ r_p), check_finite=False)
+        return np.concatenate([x_e, r_p + self.g * (x_e @ self.W)])

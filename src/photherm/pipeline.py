@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -52,17 +52,7 @@ class RunManifest:
     def save(self, out_dir: str | Path) -> Path:
         path = Path(out_dir) / MANIFEST_NAME
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "tool": "photherm",
-            "tool_version": self.tool_version,
-            "preset": self.preset,
-            "scale": self.scale,
-            "stages": list(self.stages),
-            "params": self.params,
-            "options": self.options,
-            "outputs": self.outputs,
-            "metrics": self.metrics,
-        }
+        payload = {"tool": "photherm", **asdict(self)}
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return path
 
@@ -244,13 +234,7 @@ def stage_dynamics(ctx: RunContext) -> list[Path]:
     )
     state_csv = _write_state(ctx, ctx.out_dir / "dynamics-state.csv", traj.final)
     ctx.final_state = traj.final
-    ctx.manifest.metrics["dynamics"] = {
-        "accepted_steps": traj.metadata["accepted_steps"],
-        "rejected_steps": traj.metadata["rejected_steps"],
-        "min_step": traj.metadata["min_step"],
-        "max_step": traj.metadata["max_step"],
-        "method": traj.metadata["method"],
-    }
+    ctx.manifest.metrics["dynamics"] = dict(traj.metadata)
     return [out, state_csv]
 
 

@@ -2,8 +2,9 @@
 
 Finds states where the coupled electron/photon rate equations vanish.  The
 photon block is linear in the photon numbers at frozen occupations, so the
-photons are eliminated exactly (a Schur complement of the Jacobian's
-diagonal photon block) and Newton runs on the dense electron-only system,
+photons are eliminated exactly (the Schur complement of the Jacobian's
+diagonal photon block, kinetics.ShiftedLU, the kernel the time stepper's
+BDF iterations also use) and Newton runs on the dense electron-only system,
 whose size is the atom grid rather than the atom grid plus every cavity
 mode.  This stays well conditioned near electron saturation, where the full
 system becomes too non-normal for a usable descent direction.  A
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinetics import CouplingTables, affine_coefficients, quasi_steady_photon, rhs
+from .kinetics import CouplingTables, ShiftedLU, quasi_steady_photon, rhs
 
 MAX_NEWTON_STEPS = 50
 MAX_HALVINGS = 10
@@ -47,14 +48,6 @@ class SteadyResult:
     iterations: dict = field(default_factory=dict)
     converged: bool = False
     history: list = field(default_factory=list)
-
-
-def _project(y: np.ndarray, n_freqs: int) -> np.ndarray:
-    """Clamp a trial state onto the physical simplex."""
-    out = y.copy()
-    np.clip(out[:n_freqs], 0.0, 1.0, out=out[:n_freqs])
-    np.maximum(out[n_freqs:], 0.0, out=out[n_freqs:])
-    return out
 
 
 def _rate_scale(tables: CouplingTables) -> float:
@@ -86,31 +79,6 @@ def seed_guess(tables: CouplingTables) -> np.ndarray:
     return tables.pack(n_e, photons)
 
 
-def _reduced_system(
-    n_e: np.ndarray, tables: CouplingTables
-) -> tuple[np.ndarray, np.ndarray]:
-    """Electron residual and dense Jacobian after exact photon elimination.
-
-    With photons at their conditional fixed point N*(n), the remaining
-    system F(n) = electron rhs at (n, N*(n)) has Jacobian
-    diag(a_e) + C dN*/dn, where C is the photon-to-electron coupling block
-    and dN*/dn follows from differentiating the rational form of N*.
-    Raises ValueError (via the photon fixed point) when stimulated gain
-    exceeds the losses at these occupations.
-    """
-    photons = quasi_steady_photon(n_e, tables)
-    y = tables.pack(n_e, photons)
-    a, b = affine_coefficients(y, tables)
-    residual = (a * y + b)[: tables.n_freqs]
-    a_e = a[: tables.n_freqs]
-    proj = tables.WT @ n_e
-    denom = tables.gamma_c + tables.g_photon * (tables.W_colsum - 2.0 * proj)
-    dphoton = (tables.g_photon * (1.0 + 2.0 * photons) / denom)[:, None] * tables.WT
-    coupling = -tables.g_atom * (2.0 * n_e - 1.0)[:, None] * tables.W
-    jacobian = np.diag(a_e) + coupling @ dphoton
-    return residual, jacobian
-
-
 def solve_steady(
     guess: np.ndarray,
     tables: CouplingTables,
@@ -120,13 +88,14 @@ def solve_steady(
     """Newton solve of rhs(state) = 0 starting from ``guess``.
 
     The guess is projected onto the simplex; each step then solves the
-    dense photon-eliminated electron system (see the module docstring) by
-    LU and moves the occupations, with photons following at their
-    conditional fixed point.  A trial step is accepted only when the full
-    scaled residual strictly decreases, halving the step at most ten
-    times.  A singular Jacobian, inverted gain at the current occupations,
-    a stalled line search or an exhausted step budget returns the best
-    state found, flagged unconverged.
+    Newton system at the current occupations, photons at their conditional
+    fixed point, by the LU of its photon-eliminated Schur complement
+    (kinetics.ShiftedLU at sigma = 0), and moves the occupations, with
+    photons following at their conditional fixed point.  A trial step is
+    accepted only when the full scaled residual strictly decreases, halving
+    the step at most ten times.  A singular Jacobian, inverted gain at the
+    current occupations, a stalled line search or an exhausted step budget
+    returns the best state found, flagged unconverged.
     """
     guess = np.asarray(guess, dtype=float)
     n_total = tables.n_freqs + tables.n_modes
@@ -137,18 +106,20 @@ def solve_steady(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
 
-    state = _project(guess, tables.n_freqs)
-    n_e = state[: tables.n_freqs]
+    state = guess.copy()
+    n_e, photons = tables.split(state)
+    np.clip(n_e, 0.0, 1.0, out=n_e)
+    np.maximum(photons, 0.0, out=photons)
     res = scaled_residual(state, tables)
     history = [res]
     for _ in range(max_newton):
         if res < tol:
             break
         try:
-            residual, jacobian = _reduced_system(n_e, tables)
-            delta = np.linalg.solve(jacobian, -residual)
-        except (ValueError, np.linalg.LinAlgError):
+            y = tables.pack(n_e, quasi_steady_photon(n_e, tables))
+        except ValueError:
             break
+        delta = ShiftedLU(y, tables, 0.0, -1.0).solve(-rhs(y, tables))[: tables.n_freqs]
         if not np.all(np.isfinite(delta)):
             break
         for halving in range(MAX_HALVINGS):

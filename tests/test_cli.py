@@ -147,25 +147,59 @@ class TestPipeline:
         assert code == 2
 
 
-def test_dynamics_identical_at_one_and_two_blas_threads(tmp_path):
-    """Reduced-scale dynamics output does not depend on the BLAS thread count."""
+def _dynamics_in_subprocess(out, threads):
+    """Reduced eq-weak dynamics run by a fresh interpreter at a BLAS thread count."""
     argv = [
         "pipeline", "--stages", "dynamics", "--preset", "eq-weak",
-        "--scale", "reduced", "--t-end", "1e-9",
+        "--scale", "reduced", "--t-end", "1e-9", "--out-dir", str(out),
     ]
     src = str(Path(photherm.__file__).resolve().parents[1])
-    outputs = {}
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads-{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        subprocess.run(
-            [sys.executable, "-c", "import sys; from photherm.cli import main; sys.exit(main())",
-             *argv, "--out-dir", str(out)],
-            env=env, check=True, capture_output=True, timeout=300,
-        )
-        outputs[threads] = [(out / f).read_bytes() for f in ("dynamics.csv", "dynamics-state.csv")]
-    assert outputs["1"] == outputs["2"]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", "import sys; from photherm.cli import main; sys.exit(main())",
+         *argv],
+        env=env, check=True, capture_output=True, timeout=300,
+    )
+    return {f: (out / f).read_bytes() for f in ("dynamics.csv", "dynamics-state.csv")}
+
+
+def test_dynamics_reruns_identical_and_thread_counts_agree(tmp_path):
+    """Dynamics output is byte-identical across reruns at one thread count.
+
+    Across BLAS thread counts, LAPACK's LU may round differently, so one and
+    two threads need only agree to 1e-12 of each value, floored at 1e-3 of
+    the largest value of its column.
+    """
+    once = _dynamics_in_subprocess(tmp_path / "t1-a", "1")
+    assert _dynamics_in_subprocess(tmp_path / "t1-b", "1") == once
+    _dynamics_in_subprocess(tmp_path / "t2", "2")
+    for name in ("dynamics.csv", "dynamics-state.csv"):
+        _, one = read_csv(tmp_path / "t1-a" / name)
+        _, two = read_csv(tmp_path / "t2" / name)
+        assert list(one) == list(two)
+        for col in one:
+            if one[col].dtype.kind != "f":
+                assert np.array_equal(one[col], two[col])
+                continue
+            scale = np.maximum(np.abs(one[col]), 1e-3 * np.max(np.abs(one[col])))
+            scale = np.where(scale > 0.0, scale, 1.0)
+            assert np.max(np.abs(one[col] - two[col]) / scale) <= 1e-12, (name, col)
+
+
+def test_integration_failure_exits_1(tmp_path, capsys, monkeypatch):
+    from photherm import pipeline
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("step budget exhausted: system too stiff for method")
+
+    monkeypatch.setattr(pipeline, "integrate", fail)
+    code = main(["pipeline", "--stages", "dynamics", "--out-dir", str(tmp_path), *FAST])
+    assert code == 1
+    assert "step budget exhausted" in capsys.readouterr().err
+    m = json.loads((tmp_path / "run-manifest.json").read_text())
+    assert "step budget exhausted" in m["metrics"]["dynamics"]["error"]
+    assert not (tmp_path / "dynamics.csv").exists()
 
 
 class TestSingleCommands:
@@ -256,12 +290,15 @@ class TestArgumentHandling:
         assert "bad parameters" in capsys.readouterr().err
 
     def test_method_flag_has_one_choice(self, tmp_path):
+        # --method exponential-diagonal is accepted and ignored
         code = main(["dynamics", "--out-dir", str(tmp_path), *FAST])
         assert code == 0
         m = json.loads((tmp_path / "run-manifest.json").read_text())
-        assert m["metrics"]["dynamics"]["method"] == "exponential-diagonal"
+        dyn = m["metrics"]["dynamics"]
+        assert dyn["method"] == "bdf"
+        assert 1 <= dyn["njev"] <= dyn["nlu"] <= dyn["nfev"]
         meta, _ = read_csv(tmp_path / "dynamics.csv")
-        assert meta["method"] == "exponential-diagonal"
+        assert meta["method"] == "bdf"
         with pytest.raises(SystemExit) as exc:
             main(["dynamics", "--out-dir", str(tmp_path), "--method", "adaptive-explicit"])
         assert exc.value.code == 2
