@@ -5,12 +5,17 @@ condition gives cos(k l_p) = T(Omega) with
 
     T = cos(theta) - (q * eta / 2) * sin(theta),  theta = q * l_p,  q = Omega/c
 
-so |T| <= 1 marks pass bands and |T| > 1 marks gaps. Finite-cavity gap
-intervals are anchored to these analytic gaps and widened to the maximal
-interval free of crystal-class mode frequencies, so the reported intervals
-satisfy both the no-crystal-mode invariant and the analytic band picture.
-Trailing gaps are clipped at the mode-table cutoff; eta = 0 yields no gaps
-(|cos| never exceeds 1).
+so |T| <= 1 marks pass bands and |T| > 1 marks gaps. T = +-1 exactly at the
+Bragg frequencies m*pi*c/l_p, and for eta > 0 |T| - 1 changes sign exactly
+once inside each period ((m-1)*pi, m*pi) of theta, from the band below to
+the gap just under the Bragg frequency (Kronig & Penney, Proc. R. Soc. A
+130, 499, 1931). So the m-th gap is [lower edge, m*pi*c/l_p], and all lower
+edges are bisected together by `modes.bisect_brackets`, the loop the census
+uses. Finite-cavity gap intervals are anchored to these analytic gaps and
+widened to the maximal interval free of crystal-class mode frequencies, so
+the reported intervals satisfy both the no-crystal-mode invariant and the
+analytic band picture. Trailing gaps are clipped at the mode-table cutoff;
+eta = 0 yields no gaps (|cos| never exceeds 1).
 """
 
 from __future__ import annotations
@@ -19,10 +24,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import SPEED_OF_LIGHT as C
-from .modes import ModeTable
+from .modes import ModeTable, bisect_brackets
 
 # Reported gaps must beat this multiple of the empty-cavity mode spacing.
 MIN_GAP_SPACING_FACTOR = 3.0
@@ -35,8 +39,6 @@ class BandStructure:
     k: np.ndarray
     omega: np.ndarray
     gaps: np.ndarray  # shape (n_gaps, 2), [omega_lo, omega_hi] per row
-    plane_strength: float
-    omega_max: float
 
     @property
     def n_gaps(self) -> int:
@@ -58,36 +60,20 @@ def dispersion_trace(omega, eta: float, l_p: float):
 def analytic_gaps(eta: float, l_p: float, omega_max: float) -> np.ndarray:
     """Gap intervals of the infinite crystal in (0, omega_max], shape (n, 2).
 
-    Edges are the |T| = 1 crossings, located by sign change of |T| - 1 on a
-    fine grid and refined by bracketing. A gap still open at omega_max is
-    clipped there.
+    The m-th gap ends at the Bragg frequency m*pi*c/l_p, clipped at
+    omega_max; its lower edge is the one sign change of |T| - 1 inside
+    ((m-1)*pi, m*pi)*c/l_p, bisected to ROOT_RTOL. A period whose lower
+    edge reaches omega_max, or whose interval holds no |T| > 1 at its
+    midpoint (eta = 0, or a gap narrower than the bisection resolves), holds
+    no gap.
     """
-    if eta == 0.0:
-        return np.empty((0, 2))
-    # ~1e-4 rad resolution in theta: far finer than any band or gap width
-    n_grid = max(int(omega_max * l_p / C / 1e-4), 1000)
-    grid = np.linspace(omega_max / n_grid, omega_max, n_grid)
-    f = np.abs(dispersion_trace(grid, eta, l_p)) - 1.0
-    in_gap = f > 0.0
-
-    def edge(lo: float, hi: float) -> float:
-        g = lambda om: abs(float(dispersion_trace(om, eta, l_p))) - 1.0
-        return brentq(g, lo, hi, rtol=1e-13)
-
-    gaps = []
-    i = 0
-    while i < n_grid:
-        if not in_gap[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n_grid and in_gap[j + 1]:
-            j += 1
-        lo = edge(grid[i - 1], grid[i]) if i > 0 else grid[0]
-        hi = edge(grid[j], grid[j + 1]) if j + 1 < n_grid else omega_max
-        gaps.append((lo, hi))
-        i = j + 1
-    return np.array(gaps).reshape(-1, 2)
+    period = math.pi * C / l_p
+    bragg = period * np.arange(1, math.ceil(omega_max / period) + 1)
+    in_gap = lambda om: np.abs(dispersion_trace(om, eta, l_p)) > 1.0
+    lower = bisect_brackets(bragg - period, bragg, lambda mid, i: in_gap(mid))
+    upper = np.minimum(bragg, omega_max)
+    keep = (lower < omega_max) & in_gap(0.5 * (lower + upper))
+    return np.column_stack([lower[keep], upper[keep]])
 
 
 def band_structure(table: ModeTable) -> BandStructure:
@@ -95,44 +81,23 @@ def band_structure(table: ModeTable) -> BandStructure:
 
     Each analytic gap is widened to the maximal interval around its midpoint
     containing no crystal-class mode frequency, so the reported interval ends
-    exactly at the nearest crystal-class modes (or at 0 / omega_max). Gaps
-    narrower than MIN_GAP_SPACING_FACTOR empty-cavity spacings are dropped.
+    exactly at the nearest crystal-class modes (or at 0 / omega_max); gaps
+    that widen to the same interval report it once. Gaps narrower than
+    MIN_GAP_SPACING_FACTOR empty-cavity spacings are dropped.
     """
     cc = table.is_crystal
     omega_cc = table.omega[cc]
-    k_cc = table.k_assigned[cc]
-
+    if np.any(np.diff(omega_cc) <= 0.0):
+        raise ValueError("crystal-class frequencies are not strictly increasing")
     raw = analytic_gaps(table.plane_strength, table.plane_spacing, table.omega_max)
+    # voids between consecutive crystal-class modes, and the one each gap's
+    # midpoint falls in
+    edges = np.concatenate(([0.0], omega_cc, [table.omega_max]))
+    void = np.unique(np.searchsorted(omega_cc, raw.mean(axis=1), side="right"))
+    gaps = np.column_stack([edges[void], edges[void + 1]])
     spacing = math.pi * C / table.cavity_length
-    gaps = []
-    for lo_a, hi_a in raw:
-        mid = 0.5 * (lo_a + hi_a)
-        below = omega_cc[omega_cc <= mid]
-        above = omega_cc[omega_cc > mid]
-        lo = float(below.max()) if below.size else 0.0
-        hi = float(above.min()) if above.size else table.omega_max
-        if hi - lo > MIN_GAP_SPACING_FACTOR * spacing:
-            gaps.append((lo, hi))
-    # analytic gaps are disjoint but void widening can merge adjacent ones
-    merged: list[list[float]] = []
-    for lo, hi in gaps:
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    gap_arr = np.array(merged).reshape(-1, 2)
-
-    for lo, hi in gap_arr:
-        inside = (omega_cc > lo) & (omega_cc < hi)
-        if inside.any():
-            raise AssertionError("crystal-class mode inside a reported gap")
-    return BandStructure(
-        k=k_cc,
-        omega=omega_cc,
-        gaps=gap_arr,
-        plane_strength=table.plane_strength,
-        omega_max=table.omega_max,
-    )
+    wide = gaps[:, 1] - gaps[:, 0] > MIN_GAP_SPACING_FACTOR * spacing
+    return BandStructure(k=table.k_assigned[cc], omega=omega_cc, gaps=gaps[wide])
 
 
 def in_gap_mask(table: ModeTable, structure: BandStructure) -> np.ndarray:

@@ -12,9 +12,10 @@ The working pair is (u, w) with w = u' / q, shot from z = 0 with
 crossing is the shear w -> w - q*eta*u. Eigenfrequencies are found by
 Sturm-count bisection: the Pruefer phase of (u, w) at z = L gives the exact
 number of eigenfrequencies below any frequency (`count_below`), and every
-root is bisected on that count alone, all roots in one vectorized pass
-(`scan_eigenfrequencies`). The same phase, stopped just left of the last
-plane at L_c, gives the number of positive field maxima inside the stack
+root is bisected on that count alone, all roots together
+(`scan_eigenfrequencies`, through the `bisect_brackets` loop that also finds
+the band-gap edges in `bands`). The same phase, stopped just left of the
+last plane at L_c, gives the number of positive field maxima inside the stack
 in closed form (`count_peaks`). The normalization and the confinement
 factor come in closed form from the phases the same propagation passes at
 the planes (`normalize_modes`): free flight keeps the amplitude R of
@@ -39,6 +40,9 @@ from .params import PhysicalParams
 SCAN_SPACING_FACTOR = 0.3
 # Relative tolerance for eigenfrequency refinement.
 ROOT_RTOL = 1e-12
+# Relative margin of the crystal-class threshold Gamma > L_c/L: at eta = 0
+# modes with 2n*L_c/L an integer have Gamma exactly L_c/L, up to <= 1e-12.
+CLASS_RTOL = 1e-11
 # Format of a saved ModeTable; a file with another (or no) version is stale
 # and solved again. Raise it whenever a saved field changes layout or value.
 CENSUS_VERSION = 3
@@ -80,7 +84,8 @@ class ModeTable:
     @property
     def is_crystal(self) -> np.ndarray:
         """Modes holding more of their energy in the stack than an even spread."""
-        return self.gamma_conf > self.crystal_length / self.cavity_length
+        even = self.crystal_length / self.cavity_length
+        return self.gamma_conf > even * (1.0 + CLASS_RTOL)
 
     def save(self, path: str | Path) -> None:
         np.savez_compressed(
@@ -192,10 +197,9 @@ def scan_eigenfrequencies(
     times the empty-cavity mode spacing pi*c/L) numbers the roots and gives
     the k-th root (1-based) the grid cell with count(lo) < k <= count(hi)
     as its bracket. All brackets are then bisected together on the count
-    alone: each pass evaluates `count_below` once at the midpoints of the
-    brackets still wider than ROOT_RTOL * hi and keeps the half that holds
-    the k-th root. Completeness does not rest on the grid, and roots
-    sharing a cell (near-degenerate pairs at band edges) separate as soon
+    alone (`bisect_brackets`): the k-th root lies at or below mid exactly
+    when count_below(mid) >= k. Completeness does not rest on the grid, and
+    roots sharing a cell (near-degenerate pairs at band edges) separate as soon
     as a midpoint falls between them.
     """
     if omega_max is None:
@@ -208,15 +212,27 @@ def scan_eigenfrequencies(
     counts = count_below(edges, params)
     k = np.arange(1, counts[-1] + 1)
     cell = np.searchsorted(counts, k) - 1
-    lo, hi = edges[cell], edges[cell + 1]
+    return bisect_brackets(
+        edges[cell], edges[cell + 1], lambda mid, i: count_below(mid, params) >= k[i]
+    )
+
+
+def bisect_brackets(lo, hi, at_or_below) -> np.ndarray:
+    """Midpoints of the one-root brackets [lo, hi], bisected together to ROOT_RTOL.
+
+    Each pass calls at_or_below(mid, i) on the midpoints of the brackets i
+    still wider than ROOT_RTOL * hi; it returns True where that root lies at
+    or below mid, and the lower half is kept there, the upper half elsewhere.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     while True:
         wide = np.flatnonzero(hi - lo > ROOT_RTOL * hi)
         if wide.size == 0:
             return 0.5 * (lo + hi)
         mid = 0.5 * (lo[wide] + hi[wide])
-        above = count_below(mid, params) >= k[wide]
-        hi[wide[above]] = mid[above]
-        lo[wide[~above]] = mid[~above]
+        below = at_or_below(mid, wide)
+        hi[wide[below]] = mid[below]
+        lo[wide[~below]] = mid[~below]
 
 
 # ----------------------------------------------------------------------

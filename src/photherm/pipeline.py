@@ -374,11 +374,13 @@ def run_pipeline(
 
     Requesting "modes" runs "bands" after it, so a census always comes with
     its band structure; each stage writes and lists only its own files.
-    Unknown stage names raise before anything runs.  A stage failure
-    propagates as StageError carrying the stage name; files written by
-    earlier stages and the manifest (with the failure recorded) remain on
-    disk.
+    An empty stage list or an unknown stage name raises ValueError before
+    anything runs.  A stage failure propagates as StageError carrying the
+    stage name; files written by earlier stages and the manifest (with the
+    failure recorded) remain on disk.
     """
+    if not stages:
+        raise ValueError(f"no stages requested; choose from {list(STAGE_ORDER)}")
     unknown = [s for s in stages if s not in STAGE_FUNCTIONS]
     if unknown:
         raise ValueError(f"unknown stages {unknown}; choose from {list(STAGE_ORDER)}")

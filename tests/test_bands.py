@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from photherm import bands, modes
 from photherm.constants import SPEED_OF_LIGHT as C
@@ -36,6 +37,49 @@ class TestDispersion:
         assert gaps[0][0] < 9.43e13 * 0.995 < 9.43e13 * 1.005 < gaps[1][0]
         assert gaps[0][0] == pytest.approx(3.836e13, rel=1e-3)
         assert gaps[0][1] == pytest.approx(9.418e13, rel=1e-3)
+        # every gap ends at its Bragg frequency m pi c / l_p, the last at the cutoff
+        bragg = math.pi * C / 1e-5 * np.arange(1, gaps.shape[0] + 1)
+        assert gaps[:, 1] == pytest.approx(np.minimum(bragg, 5e14), rel=1e-15)
+
+    def test_narrow_gaps_all_found(self):
+        # the m-th gap of a weak comb is m pi eta c / l_p^2 wide, far below
+        # any practical grid cell at eta = 1e-11
+        eta, l_p = 1e-11, 1e-5
+        gaps = bands.analytic_gaps(eta, l_p, 5e14)
+        m = np.arange(1, 6)
+        assert gaps.shape == (5, 2)
+        assert gaps[:, 1] - gaps[:, 0] == pytest.approx(
+            m * math.pi * eta * C / l_p**2, rel=3e-5
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log_eta=st.floats(min_value=math.log(1e-9), max_value=math.log(1e-2)),
+        omega_max=st.floats(min_value=1e14, max_value=1e15),
+    )
+    def test_gap_properties(self, log_eta, omega_max):
+        eta, l_p = math.exp(log_eta), 1e-5
+        gaps = bands.analytic_gaps(eta, l_p, omega_max)
+        lo, hi = gaps[:, 0], gaps[:, 1]
+        assert gaps.shape[0] >= 1
+        assert np.all(lo < hi) and np.all(lo[1:] > hi[:-1])
+        # upper edges: the Bragg frequencies, the last one possibly clipped
+        m = np.round(hi * l_p / (math.pi * C))
+        bragg = np.abs(hi / (m * math.pi * C / l_p) - 1.0) <= 1e-15
+        assert np.all(bragg | (hi == omega_max))
+        T = lambda om: np.abs(bands.dispersion_trace(om, eta, l_p))
+        assert np.all(T(lo - 2e-12 * hi) <= 1.0)
+        assert np.all(T(0.5 * (lo + hi)) > 1.0)
+        # every grid point in a gap lies in exactly one reported interval, and
+        # each run of consecutive such points in the same one; a gap opening
+        # within the bisection tolerance of omega_max is not reported
+        grid = np.linspace(omega_max / 200_000, omega_max, 200_000)
+        inside = (grid[:, None] >= lo - 2e-12 * hi) & (grid[:, None] <= hi * (1 + 1e-12))
+        hit = (T(grid) > 1.0) & (grid < omega_max * (1.0 - 2e-12))
+        assert np.all(inside[hit].sum(axis=1) == 1)
+        which = np.argmax(inside, axis=1)
+        same_run = hit[1:] & hit[:-1]
+        assert np.array_equal(which[1:][same_run], which[:-1][same_run])
 
     def test_gap_count_below_cutoff(self):
         assert bands.analytic_gaps(2.1e-5, 1e-5, 5e14).shape[0] == 6

@@ -18,7 +18,7 @@ import pytest
 import photherm
 from photherm import __version__
 from photherm.cli import build_parser, main
-from photherm.csvio import read_csv
+from photherm.csvio import read_csv, write_csv
 
 FAST = [
     "--preset",
@@ -146,6 +146,12 @@ class TestPipeline:
         code = main(["pipeline", "--out-dir", str(tmp_path), *FAST, "--stages", "fft"])
         assert code == 2
 
+    @pytest.mark.parametrize("stages", [",", ""])
+    def test_empty_stage_list_rejected(self, tmp_path, stages):
+        code = main(["pipeline", "--out-dir", str(tmp_path), *FAST, "--stages", stages])
+        assert code == 2
+        assert not (tmp_path / "run-manifest.json").exists()
+
 
 def _dynamics_in_subprocess(out, threads):
     """Reduced eq-weak dynamics run by a fresh interpreter at a BLAS thread count."""
@@ -249,6 +255,22 @@ class TestSingleCommands:
         assert main(["spectrum", "--out-dir", str(tmp_path), "--preset", "eq-strong",
                      "--scale", "reduced"]) == 1
         assert "no input state" in capsys.readouterr().err
+
+    def test_inverted_gain_seed_exits_1(self, pipe_dir, tmp_path, capsys):
+        # every occupation above 1/2: stimulated gain beats the losses, so the
+        # photons have no fixed point and Newton cannot take a first step
+        _, cols = read_csv(pipe_dir / "dynamics-state.csv")
+        cols["value"] = np.full(cols["value"].size, 0.9)
+        seed = write_csv(tmp_path / "inverted.csv", cols)
+        out = tmp_path / "run"
+        code = main(["steady", "--out-dir", str(out), "--preset", "eq-strong",
+                     "--scale", "reduced", "--seed-from", str(seed)])
+        assert code == 1
+        assert "did not converge" in capsys.readouterr().err
+        assert (out / "unconverged-state.csv").exists()
+        assert not list(out.glob("steady-*.csv"))
+        steady = json.loads((out / "run-manifest.json").read_text())["metrics"]["steady"]
+        assert steady["newton"] == 0
 
     def test_spectrum_without_state_fails_cleanly(self, tmp_path):
         code = main(["spectrum", "--out-dir", str(tmp_path), "--preset", "eq-strong",

@@ -146,6 +146,17 @@ class TestEmptyCavity:
         ratio = empty_full.crystal_length / empty_full.cavity_length
         assert np.max(np.abs(table.gamma_conf - empty_gamma(n, ratio))) < 1e-12
 
+    @pytest.mark.parametrize("scale", ["full", "reduced"])
+    def test_crystal_class_closed_form(self, empty_full, scale):
+        # Gamma beats L_c/L iff sin(2 pi n L_c/L) < 0; where 2n L_c/L is an
+        # integer Gamma equals L_c/L exactly and the mode is cavity class
+        p = apply_scale(empty_full, scale)
+        table = modes.solve_modes(p)
+        x = 2.0 * np.arange(1, table.n_modes + 1) * p.crystal_length / p.cavity_length
+        tie = np.abs(x - np.round(x)) < 1e-9
+        assert np.count_nonzero(tie) == 127
+        assert np.array_equal(table.is_crystal, (np.sin(math.pi * x) < 0.0) & ~tie)
+
     def test_peak_count_tracks_wavelength(self, empty_full, empty_roots):
         # sin(q z) has its positive maxima at q z = pi/2 + 2 pi j; count those
         # inside (0, L_c)
