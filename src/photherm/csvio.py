@@ -14,20 +14,26 @@ from pathlib import Path
 import numpy as np
 
 FLOAT_FORMAT = "{:.17g}"
+ROW_BLOCK = 1024  # rows formatted and written at a time
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return FLOAT_FORMAT.format(float(value))
-    return str(value)
+def _format_column(arr: np.ndarray) -> list[str]:
+    """Cells of one column: bools as 1/0, floats with FLOAT_FORMAT,
+    anything else (integers in full, strings) through str."""
+    kind = arr.dtype.kind
+    if kind == "b":
+        return ["1" if v else "0" for v in arr.tolist()]
+    if kind == "f":
+        return list(map(FLOAT_FORMAT.format, arr.astype(float, copy=False).tolist()))
+    return list(map(str, arr.tolist()))
 
 
 def write_csv(path: str | Path, columns: dict, metadata: dict | None = None) -> Path:
-    """Write named columns (equal-length sequences) with metadata lines."""
+    """Write named columns (equal-length sequences) with metadata lines.
+
+    Rows are formatted column by column and streamed ROW_BLOCK at a time,
+    so memory does not grow with the file.
+    """
     path = Path(path)
     names = list(columns)
     if not names:
@@ -37,14 +43,14 @@ def write_csv(path: str | Path, columns: dict, metadata: dict | None = None) -> 
     for name, arr in zip(names, arrays):
         if arr.ndim != 1 or arr.shape[0] != length:
             raise ValueError(f"column {name!r} is not a length-{length} vector")
-    lines = []
-    for key, value in (metadata or {}).items():
-        lines.append(f"# {key}: {value}")
-    lines.append(",".join(names))
-    for i in range(length):
-        lines.append(",".join(_format_cell(arr[i]) for arr in arrays))
+    header = [f"# {key}: {value}" for key, value in (metadata or {}).items()]
+    header.append(",".join(names))
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as out:
+        out.write("\n".join(header) + "\n")
+        for start in range(0, length, ROW_BLOCK):
+            cells = [_format_column(arr[start : start + ROW_BLOCK]) for arr in arrays]
+            out.write("\n".join(map(",".join, zip(*cells))) + "\n")
     return path
 
 

@@ -15,9 +15,11 @@ One kernel serves rhs and affine_coefficients: rhs = a * y + b with
 a = a0 + a1 * s, b = b0 + b1 * s and s = [W N ; n W], two BLAS products.
 One more kernel, ShiftedLU, factors sigma*I - c*J for the Newton step of
 the steady solver (sigma = 0) and the BDF iterations of the time stepper
-(sigma = 1).  Both go through BLAS and LAPACK, whose results depend on the
-thread count in the last bits: output is bit-reproducible only at a fixed
-thread count.
+(sigma = 1) through the Schur complement of the photon block, whose
+symmetric product W diag(g) W^T is built by BLAS dsyrk with one rank-k
+update per sign of g.  Both kernels go through BLAS and LAPACK, whose
+results depend on the thread count in the last bits: output is
+bit-reproducible only at a fixed thread count.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.blas import dsyrk
 
 from . import atoms
 from .params import PhysicalParams
@@ -98,9 +101,13 @@ def build_tables(
     if om_m.size == 0 or om_a.size == 0:
         raise ValueError("empty mode set or atom grid")
 
-    detune = (om_a[:, None] - om_m[None, :]) / params.dephasing_rate
-    L = 1.0 / (1.0 + detune**2)
-    W = L * (om_m * gam)[None, :]
+    # W = (om_m * gam) / (1 + ((om_a - om_m) / dephasing)^2), built in place
+    W = np.subtract.outer(om_a, om_m)
+    W /= params.dephasing_rate
+    np.square(W, out=W)
+    W += 1.0
+    np.divide(1.0, W, out=W)
+    W *= om_m * gam
     return CouplingTables(
         omega_atoms=om_a,
         omega_modes=om_m,
@@ -171,22 +178,36 @@ class ShiftedLU:
     affine_coefficients and (e, q) = a1 * y + b1.  M's photon block is the
     diagonal d = sigma - c*a_p, so eliminating it leaves the dense
     n_freqs x n_freqs Schur complement
-        S = diag(sigma - c*a_e) - diag(c e) W diag(c q / d) W^T
+        S = diag(sigma - c*a_e) - diag(c e) W diag(g) W^T,  g = c q / d
     (Golub & Van Loan, Matrix Computations, sec. 3.2), factored once by
     LAPACK; each solve is then two gemv calls and one triangular pair.
-    No n_total x n_total array is built.  Newton on rhs = 0 uses sigma = 0,
-    c = -1 (M = J); a BDF iteration uses sigma = 1.
+    W diag(g) W^T is symmetric, so it is built by BLAS dsyrk, half the flops
+    of a gemm: one rank-k update with the columns of W scaled by sqrt(g)
+    where g >= 0, and one subtracted for sqrt(-g) where g < 0 (empty, and
+    copying nothing, when no g is negative, as in every Newton step and
+    every BDF iteration away from inversion).  No n_total x n_total array
+    is built.  Newton on rhs = 0 uses sigma = 0, c = -1 (M = J); a BDF
+    iteration uses sigma = 1.  A caller that already holds the Jacobian
+    diagonal a at y passes it, saving the two products that recompute it.
     """
 
-    def __init__(self, y: np.ndarray, tables: CouplingTables, sigma: float, c: float):
+    def __init__(
+        self,
+        y: np.ndarray,
+        tables: CouplingTables,
+        sigma: float,
+        c: float,
+        a: np.ndarray | None = None,
+    ):
         nf = tables.n_freqs
-        a, _ = _coefficients(y, tables)
+        if a is None:
+            a, _ = _coefficients(y, tables)
         eq = tables.a1 * y + tables.b1
         self.W = tables.W
         self.ce = c * eq[:nf]
         self.d = sigma - c * a[nf:]
         self.g = c * eq[nf:] / self.d
-        schur = (self.W * self.g) @ self.W.T
+        schur = _gram(self.W, self.g)
         schur *= -self.ce[:, None]
         schur[np.diag_indices(nf)] += sigma - c * a[:nf]
         self.lu = lu_factor(schur, overwrite_a=True, check_finite=False)
@@ -197,3 +218,25 @@ class ShiftedLU:
         r_p = r[nf:] / self.d
         x_e = lu_solve(self.lu, r[:nf] + self.ce * (self.W @ r_p), check_finite=False)
         return np.concatenate([x_e, r_p + self.g * (x_e @ self.W)])
+
+
+def _gram(W: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """W diag(g) W^T (Fortran order) from one dsyrk per sign of g."""
+    n = W.shape[0]
+    out = np.zeros((n, n), order="F")
+    negative = g < 0.0
+    for sign, cols in ((1.0, ~negative), (-1.0, negative)):
+        if not cols.any():
+            continue
+        if cols.all():
+            scaled = W * np.sqrt(sign * g)
+        else:
+            scaled = W[:, cols]
+            scaled *= np.sqrt(sign * g[cols])
+        # the transposed view of a C-ordered array is Fortran-ordered: f2py
+        # passes it without a copy, and trans=1 forms scaled @ scaled.T
+        out = dsyrk(sign, scaled.T, beta=1.0, c=out, trans=1, overwrite_c=1)
+    # dsyrk fills the upper triangle; mirror it into the lower one
+    lower = np.tril_indices(n, -1)
+    out[lower] = out.T[lower]
+    return out

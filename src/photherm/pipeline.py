@@ -132,19 +132,21 @@ def _write_state(ctx: RunContext, path: Path, state: np.ndarray) -> Path:
 
 
 def _read_state(ctx: RunContext, path: str | Path) -> np.ndarray:
-    t = ctx.get_tables()
+    """The packed state [n_e, N_k] of a snapshot file, checked against the
+    atom grid and census sizes (no coupling tables are built)."""
+    n_freqs, n_modes = ctx.params.n_atom_freqs, ctx.get_modes().n_modes
     _, cols = read_csv(path)
     for need in ("role", "omega", "value"):
         if need not in cols:
             raise ValueError(f"{path}: missing column {need!r}")
     n_e = cols["value"][cols["role"] == "electron"]
     photons = cols["value"][cols["role"] == "photon"]
-    if n_e.size != t.n_freqs or photons.size != t.n_modes:
+    if n_e.size != n_freqs or photons.size != n_modes:
         raise ValueError(
             f"{path}: state holds {n_e.size} electron / {photons.size} photon "
-            f"rows, expected {t.n_freqs} / {t.n_modes}"
+            f"rows, expected {n_freqs} / {n_modes}"
         )
-    return t.pack(n_e, photons)
+    return np.concatenate([n_e, photons])
 
 
 # --- stages -----------------------------------------------------------------
@@ -296,7 +298,6 @@ def stage_steady(ctx: RunContext) -> list[Path]:
 
 
 def stage_spectrum(ctx: RunContext) -> list[Path]:
-    t = ctx.get_tables()
     table = ctx.get_modes()
     opts = ctx.options
     source = opts.get("input")
@@ -315,7 +316,7 @@ def stage_spectrum(ctx: RunContext) -> list[Path]:
             raise ValueError(
                 "no input state: pass --input or run the dynamics/steady stage first"
             )
-    _, photons = t.split(state)
+    photons = state[ctx.params.n_atom_freqs :]
     gamma_d = opts.get("gamma_d")
     gamma_d = float(ctx.params.detector_width if gamma_d is None else gamma_d)
     samples = spectra.default_samples(

@@ -22,7 +22,7 @@ from .modes import ModeTable
 
 KINDS = ("raw", "detector", "blackbody", "ratio")
 DEFAULT_N_SAMPLES = 2000
-_CHUNK = 256
+_CHUNK = 8  # sample rows per kernel block: one block stays in cache
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,17 @@ def emission_detector(
         omega_samples = default_samples(float(table.omega[-1]))
     omega_samples = np.asarray(omega_samples, dtype=float)
     values = np.empty_like(omega_samples)
+    buffer = np.empty((_CHUNK, table.n_modes))
     for start in range(0, omega_samples.size, _CHUNK):
         block = omega_samples[start : start + _CHUNK, None]
-        kernel = 1.0 / (1.0 + ((block - table.omega[None, :]) / gamma_d) ** 2)
-        values[start : start + _CHUNK] = kernel @ weights
+        # kernel = 1 / (1 + ((block - omega) / gamma_d)^2), in place
+        kernel = buffer[: block.shape[0]]
+        np.subtract(block, table.omega, out=kernel)
+        kernel /= gamma_d
+        np.square(kernel, out=kernel)
+        kernel += 1.0
+        np.divide(1.0, kernel, out=kernel)
+        np.matmul(kernel, weights, out=values[start : start + _CHUNK])
     return Spectrum(omega_samples, values, "detector")
 
 

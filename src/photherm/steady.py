@@ -23,7 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinetics import CouplingTables, ShiftedLU, quasi_steady_photon, rhs
+from .kinetics import (
+    CouplingTables,
+    ShiftedLU,
+    affine_coefficients,
+    quasi_steady_photon,
+    rhs,
+)
 
 MAX_NEWTON_STEPS = 50
 MAX_HALVINGS = 10
@@ -56,11 +62,14 @@ def _rate_scale(tables: CouplingTables) -> float:
     return max(tables.gamma_r, tables.gamma_c, gain)
 
 
+def _scaled_norm(r: np.ndarray, y: np.ndarray, rate: float) -> float:
+    denom = max(float(np.linalg.norm(y)), 1e-300) * max(rate, 1e-300)
+    return float(np.linalg.norm(r)) / denom
+
+
 def scaled_residual(y: np.ndarray, tables: CouplingTables) -> float:
     """Dimensionless residual norm ||rhs|| / (||state|| * fastest rate)."""
-    r = float(np.linalg.norm(rhs(y, tables)))
-    denom = max(float(np.linalg.norm(y)), 1e-300) * max(_rate_scale(tables), 1e-300)
-    return r / denom
+    return _scaled_norm(rhs(y, tables), y, _rate_scale(tables))
 
 
 def seed_guess(tables: CouplingTables) -> np.ndarray:
@@ -110,16 +119,23 @@ def solve_steady(
     n_e, photons = tables.split(state)
     np.clip(n_e, 0.0, 1.0, out=n_e)
     np.maximum(photons, 0.0, out=photons)
+    rate = _rate_scale(tables)
     res = scaled_residual(state, tables)
     history = [res]
+    # y: the Newton state, photons at their conditional fixed point, with
+    # its rhs = a * y + b; an accepted trial already is one, so the
+    # coupling products are evaluated once per state
+    y = None
     for _ in range(max_newton):
         if res < tol:
             break
-        try:
-            y = tables.pack(n_e, quasi_steady_photon(n_e, tables))
-        except ValueError:
-            break
-        delta = ShiftedLU(y, tables, 0.0, -1.0).solve(-rhs(y, tables))[: tables.n_freqs]
+        if y is None:
+            try:
+                y = tables.pack(n_e, quasi_steady_photon(n_e, tables))
+            except ValueError:
+                break
+            a, b = affine_coefficients(y, tables)
+        delta = ShiftedLU(y, tables, 0.0, -1.0, a).solve(-(a * y + b))[: tables.n_freqs]
         if not np.all(np.isfinite(delta)):
             break
         for halving in range(MAX_HALVINGS):
@@ -128,12 +144,14 @@ def solve_steady(
                 trial = tables.pack(trial_n, quasi_steady_photon(trial_n, tables))
             except ValueError:
                 continue
-            trial_res = scaled_residual(trial, tables)
+            trial_a, trial_b = affine_coefficients(trial, tables)
+            trial_res = _scaled_norm(trial_a * trial + trial_b, trial, rate)
             if trial_res < res:
                 break
         else:
             break
-        n_e, state, res = trial_n, trial, trial_res
+        n_e, res, a, b = trial_n, trial_res, trial_a, trial_b
+        state = y = trial
         history.append(res)
 
     return SteadyResult(

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import photherm
-from photherm import __version__
+from photherm import __version__, kinetics
 from photherm.cli import build_parser, main
 from photherm.csvio import read_csv, write_csv
 
@@ -236,6 +236,30 @@ class TestSingleCommands:
         meta, cols = read_csv(tmp_path / "spectrum.csv")
         assert cols["omega"].size == 64
         assert float(meta["gamma_d"]) == 1e12
+
+    def test_spectrum_from_input_builds_no_coupling_tables(self, pipe_dir, tmp_path,
+                                                           monkeypatch, capsys):
+        args = ["spectrum", "--preset", "eq-strong", "--scale", "reduced",
+                "--blackbody", "--ratio"]
+        state = pipe_dir / "steady-state.csv"
+        assert main([*args, "--out-dir", str(tmp_path / "a"), "--input", str(state)]) == 0
+
+        def no_tables(*_args, **_kwargs):
+            raise AssertionError("spectrum built coupling tables")
+
+        monkeypatch.setattr(kinetics, "build_tables", no_tables)
+        assert main([*args, "--out-dir", str(tmp_path / "b"), "--input", str(state)]) == 0
+        for name in ("spectrum.csv", "spectrum-blackbody.csv", "spectrum-ratio.csv"):
+            assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+        # a state with one photon row too few is still rejected by its sizes
+        _, cols = read_csv(state)
+        short = write_csv(tmp_path / "short.csv", {k: v[:-1] for k, v in cols.items()})
+        capsys.readouterr()
+        assert main([*args, "--out-dir", str(tmp_path / "c"), "--input", str(short)]) == 1
+        n_photons = int(np.sum(cols["role"] == "photon"))
+        n_electrons = cols["role"].size - n_photons
+        assert (f"state holds {n_electrons} electron / {n_photons - 1} photon rows, "
+                f"expected {n_electrons} / {n_photons}") in capsys.readouterr().err
 
     def test_unconverged_steady_exits_1_without_steady_files(self, tmp_path, capsys):
         args = ["steady", "--out-dir", str(tmp_path), "--preset", "eq-strong",

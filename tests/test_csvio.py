@@ -3,7 +3,27 @@
 import numpy as np
 import pytest
 
-from photherm.csvio import read_csv, write_csv
+from photherm.csvio import FLOAT_FORMAT, ROW_BLOCK, read_csv, write_csv
+
+
+def format_cell(value) -> str:
+    """Per-cell formatter of the row-by-row writer, kept as the reference."""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return FLOAT_FORMAT.format(float(value))
+    return str(value)
+
+
+def reference_bytes(columns: dict, metadata: dict) -> bytes:
+    lines = [f"# {key}: {value}" for key, value in metadata.items()]
+    lines.append(",".join(columns))
+    arrays = [np.asarray(c) for c in columns.values()]
+    for i in range(arrays[0].shape[0]):
+        lines.append(",".join(format_cell(arr[i]) for arr in arrays))
+    return ("\n".join(lines) + "\n").encode()
 
 
 class TestWriteRead:
@@ -48,6 +68,27 @@ class TestWriteRead:
         p1 = write_csv(tmp_path / "a.csv", cols, {"m": 1})
         p2 = write_csv(tmp_path / "b.csv", cols, {"m": 1})
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestColumnFormatting:
+    SPECIAL = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308, 0.1 + 0.2]
+
+    @pytest.mark.parametrize("length", [0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])
+    def test_same_bytes_as_per_cell_formatter(self, tmp_path, length):
+        rng = np.random.default_rng(length)
+        floats = rng.standard_normal(length) * 10.0 ** rng.integers(-300, 300, length)
+        floats[: len(self.SPECIAL)] = self.SPECIAL[:length]
+        columns = {
+            "flag": rng.integers(0, 2, length).astype(bool),
+            "index": np.arange(length) - 3,
+            "count": rng.integers(0, 2**63, length, dtype=np.uint64),
+            "class": np.where(rng.integers(0, 2, length) > 0, "crystal", "cavity"),
+            "x": floats,
+            "x32": rng.standard_normal(length).astype(np.float32),
+        }
+        meta = {"kind": "probe", "gamma_d": 5e11}
+        path = write_csv(tmp_path / "t.csv", columns, meta)
+        assert path.read_bytes() == reference_bytes(columns, meta)
 
 
 class TestValidation:

@@ -244,6 +244,58 @@ class TestAffineCoefficients:
             assert fd == pytest.approx(diag[i], rel=1e-5, abs=1e-3)
 
 
+def dense_jacobian(y: np.ndarray, t: kinetics.CouplingTables) -> np.ndarray:
+    """The Jacobian of rhs written out from the rate equations, entry by entry
+    off the diagonal; the diagonal is affine_coefficients' a (checked above
+    against finite differences)."""
+    n, N = t.split(y)
+    J = np.diag(kinetics.affine_coefficients(y, t)[0])
+    J[: t.n_freqs, t.n_freqs :] = -t.g_atom * t.W * (2.0 * n - 1.0)[:, None]
+    J[t.n_freqs :, : t.n_freqs] = t.g_photon * t.W.T * (2.0 * N + 1.0)[:, None]
+    return J
+
+
+def shifted_lu_state(kind: str, t: kinetics.CouplingTables) -> np.ndarray:
+    rng = np.random.default_rng(17)
+    if kind == "thermal":
+        return t.pack(t.fermi, kinetics.quasi_steady_photon(t.fermi, t))
+    n_e = np.full(t.n_freqs, 0.9)
+    if kind == "half-inverted":
+        n_e[::2] = t.fermi[::2]
+    return t.pack(n_e, rng.uniform(0.0, 10.0, t.n_modes))
+
+
+class TestShiftedLU:
+    @pytest.mark.parametrize("kind", ["thermal", "inverted", "half-inverted"])
+    @pytest.mark.parametrize("sigma, c", [(0.0, -1.0), (1.0, 1e-12), (1.0, 1e-9)])
+    def test_solve_matches_dense(self, reduced_tables, kind, sigma, c):
+        t = reduced_tables
+        y = shifted_lu_state(kind, t)
+        lu = kinetics.ShiftedLU(y, t, sigma, c)
+        # the states cover both rank-k updates of the Schur complement alone
+        # and together
+        if kind == "thermal":
+            assert np.all(lu.g >= 0.0)
+        elif kind == "inverted" and (sigma, c) == (1.0, 1e-9):
+            assert np.all(lu.g < 0.0)
+        elif kind == "half-inverted":
+            assert np.any(lu.g < 0.0) and np.any(lu.g > 0.0)
+        r = np.random.default_rng(3).standard_normal(y.size)
+        M = sigma * np.eye(y.size) - c * dense_jacobian(y, t)
+        ref = np.linalg.solve(M, r)
+        assert np.linalg.norm(lu.solve(r) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_given_diagonal_gives_same_factors(self, reduced_tables):
+        t = reduced_tables
+        y = shifted_lu_state("half-inverted", t)
+        a = kinetics.affine_coefficients(y, t)[0]
+        r = np.random.default_rng(4).standard_normal(y.size)
+        assert np.array_equal(
+            kinetics.ShiftedLU(y, t, 1.0, 1e-9, a).solve(r),
+            kinetics.ShiftedLU(y, t, 1.0, 1e-9).solve(r),
+        )
+
+
 class TestTotalExcitation:
     def test_zero_state(self, reduced_tables):
         y = np.zeros(reduced_tables.n_freqs + reduced_tables.n_modes)

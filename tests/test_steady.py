@@ -102,9 +102,10 @@ class TestSolveSteady:
         assert from_traj.converged and from_seed.converged
         for res in (from_traj, from_seed):
             assert steady.scaled_residual(res.state, reduced_tables) < TOL
-        agree = np.max(
-            np.abs(from_traj.state - from_seed.state)
-            / (1e-30 + np.abs(from_seed.state))
+        # in the norm of scaled_residual: a per-component relative difference
+        # is dominated by photon numbers many decades below the state's norm
+        agree = np.linalg.norm(from_traj.state - from_seed.state) / np.linalg.norm(
+            from_seed.state
         )
         # uniqueness is a probe, not a theorem: disagreement is surfaced as
         # a warning rather than a hard failure
