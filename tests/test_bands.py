@@ -78,8 +78,17 @@ class TestDispersion:
         hit = (T(grid) > 1.0) & (grid < omega_max * (1.0 - 2e-12))
         assert np.all(inside[hit].sum(axis=1) == 1)
         which = np.argmax(inside, axis=1)
-        same_run = hit[1:] & hit[:-1]
-        assert np.array_equal(which[1:][same_run], which[:-1][same_run])
+        i = np.nonzero(hit[1:] & hit[:-1])[0]
+        k, k_next = which[i], which[i + 1]
+        # high allowed bands can be narrower than the grid step: two neighbouring
+        # in-gap points may then lie in consecutive intervals, but only with the
+        # reported allowed band between them, and that band must be allowed
+        step = k_next != k
+        assert np.all(k_next[step] == k[step] + 1)
+        band_lo, band_hi = hi[k[step]], lo[k_next[step]]
+        assert np.all(grid[i[step]] <= band_lo * (1 + 1e-12))
+        assert np.all(band_hi - 2e-12 * hi[k_next[step]] <= grid[i[step] + 1])
+        assert np.all(T(0.5 * (band_lo + band_hi)) <= 1.0)
 
     def test_gap_count_below_cutoff(self):
         assert bands.analytic_gaps(2.1e-5, 1e-5, 5e14).shape[0] == 6
