@@ -78,18 +78,18 @@ def _clamp_simplex(y, n_freqs, rtol, atol):
 
 
 class _Jacobian:
-    """J at state y, as the state; with I = 1, BDF's `I - c * J` is (1, c, y)."""
+    """J at y, as y and J's diagonal a; with I = 1, BDF's `I - c * J` is (1, c, y, a)."""
 
     __array_ufunc__ = None  # numpy scalars defer `c * J` to __rmul__
 
-    def __init__(self, y: np.ndarray, c: float = 1.0):
-        self.y, self.c = y, c
+    def __init__(self, y: np.ndarray, a: np.ndarray, c: float = 1.0):
+        self.y, self.a, self.c = y, a, c
 
     def __rmul__(self, c):
-        return _Jacobian(self.y, c)
+        return _Jacobian(self.y, self.a, c)
 
     def __rsub__(self, sigma):
-        return sigma, self.c, self.y
+        return sigma, self.c, self.y, self.a
 
 
 class _SchurBDF(BDF):
@@ -109,12 +109,12 @@ class _SchurBDF(BDF):
 
     def _jacobian(self, t, y):
         self.njev += 1
-        return _Jacobian(np.array(y, copy=True))
+        return _Jacobian(y.copy(), affine_coefficients(y, self.tables)[0])
 
     def _lu(self, shifted):
-        sigma, c, y = shifted
+        sigma, c, y, a = shifted
         self.nlu += 1
-        return ShiftedLU(y, self.tables, sigma, c)
+        return ShiftedLU(y, self.tables, sigma, c, a)
 
 
 def integrate(

@@ -15,11 +15,11 @@ One kernel serves rhs and affine_coefficients: rhs = a * y + b with
 a = a0 + a1 * s, b = b0 + b1 * s and s = [W N ; n W], two BLAS products.
 One more kernel, ShiftedLU, factors sigma*I - c*J for the Newton step of
 the steady solver (sigma = 0) and the BDF iterations of the time stepper
-(sigma = 1) through the Schur complement of the photon block, whose
-symmetric product W diag(g) W^T is built by BLAS dsyrk with one rank-k
-update per sign of g.  Both kernels go through BLAS and LAPACK, whose
-results depend on the thread count in the last bits: output is
-bit-reproducible only at a fixed thread count.
+(sigma = 1) through the Schur complement of the photon block, with W
+replaced by its range basis Q B; only that Newton matrix is approximate, so
+residuals and error estimates still see the exact W.  Both kernels go
+through BLAS and LAPACK, whose results depend on the thread count in the
+last bits: output is bit-reproducible only at a fixed thread count.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from scipy.linalg.blas import dsyrk
 from . import atoms
 from .params import PhysicalParams
 
+RANGE_RTOL, RANGE_RANK, RANGE_PROBES, RANGE_SEED = 1e-13, 64, 10, 2011  # _range_basis
+
 
 @dataclass
 class CouplingTables:
@@ -41,8 +43,8 @@ class CouplingTables:
     W has shape (n_atom_freqs, n_modes). fermi and pump are the
     equilibrium and pumping rates on the atom grid; rates and coupling
     constants are copied out of params so the rhs needs no other context.
-    a0, a1, b0 and b1 are the packed rhs constants (see the module
-    docstring), derived from the other fields on construction.
+    a0, a1, b0 and b1 (the packed rhs constants, see the module docstring)
+    and the range basis Q, B = Q^T W are derived from the other fields.
     """
 
     omega_atoms: np.ndarray
@@ -61,6 +63,8 @@ class CouplingTables:
     a1: np.ndarray = field(init=False, repr=False)
     b0: np.ndarray = field(init=False, repr=False)
     b1: np.ndarray = field(init=False, repr=False)
+    Q: np.ndarray = field(init=False, repr=False)
+    B: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         nf, nm = self.n_freqs, self.n_modes
@@ -72,6 +76,7 @@ class CouplingTables:
         self.b0 = self.pack(self.gamma_r * self.fermi + self.pump, np.zeros(nm))
         self.b1 = self.pack(np.full(nf, self.g_atom), np.full(nm, self.g_photon))
         self.a1 = self.b1 * self.pack(np.full(nf, -2.0), np.full(nm, 2.0))
+        self.Q, self.B = _range_basis(self.W)
 
     @property
     def n_freqs(self) -> int:
@@ -86,6 +91,24 @@ class CouplingTables:
 
     def pack(self, n_e: np.ndarray, photons: np.ndarray) -> np.ndarray:
         return np.concatenate([np.asarray(n_e, float), np.asarray(photons, float)])
+
+
+def _range_basis(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, Q^T W), Q orthonormal, by Halko, Martinsson & Tropp's seeded range
+    finder (SIAM Rev. 53, 2011, Alg. 4.2): rank k doubles from RANGE_RANK until
+    RANGE_PROBES fresh probes bound |W - Q Q^T W| by RANGE_RTOL |W|_F (eq. 4.3);
+    once k + RANGE_PROBES exceeds n_freqs, the exact Q = I, B = W."""
+    n, k, rng = W.shape[0], RANGE_RANK, np.random.default_rng(RANGE_SEED)
+    tol = RANGE_RTOL * np.linalg.norm(W) / (10.0 * np.sqrt(2.0 / np.pi))
+    Y = np.empty((n, 0))
+    while k + RANGE_PROBES <= n:  # each doubling reuses the probes drawn so far
+        probes = rng.standard_normal((W.shape[1], k + RANGE_PROBES - Y.shape[1]))
+        Y = np.hstack([Y, W @ probes])
+        Q = np.linalg.qr(Y[:, :k])[0]
+        if np.linalg.norm(Y[:, k:] - Q @ (Q.T @ Y[:, k:]), axis=0).max() <= tol:
+            return Q, Q.T @ W
+        k *= 2
+    return np.eye(n), W
 
 
 def build_tables(
@@ -180,15 +203,16 @@ class ShiftedLU:
     n_freqs x n_freqs Schur complement
         S = diag(sigma - c*a_e) - diag(c e) W diag(g) W^T,  g = c q / d
     (Golub & Van Loan, Matrix Computations, sec. 3.2), factored once by
-    LAPACK; each solve is then two gemv calls and one triangular pair.
-    W diag(g) W^T is symmetric, so it is built by BLAS dsyrk, half the flops
-    of a gemm: one rank-k update with the columns of W scaled by sqrt(g)
-    where g >= 0, and one subtracted for sqrt(-g) where g < 0 (empty, and
-    copying nothing, when no g is negative, as in every Newton step and
-    every BDF iteration away from inversion).  No n_total x n_total array
-    is built.  Newton on rhs = 0 uses sigma = 0, c = -1 (M = J); a BDF
-    iteration uses sigma = 1.  A caller that already holds the Jacobian
-    diagonal a at y passes it, saving the two products that recompute it.
+    LAPACK with W replaced by the tables' range basis Q B, within RANGE_RTOL:
+    W diag(g) W^T becomes Q (B diag(g) B^T) Q^T, and each solve is four thin
+    gemv calls and one triangular pair.  Callers check every step against
+    the exact rhs, so the basis sets how fast Newton and BDF converge, not
+    where they converge to.  The r x r core is symmetric, so it
+    is built by BLAS dsyrk, half the flops of a gemm: one rank-k update with
+    the columns of B scaled by sqrt(g) where g >= 0, and one subtracted for
+    sqrt(-g) where g < 0 (empty when no g is negative, as in every Newton
+    step and every BDF iteration away from inversion).  Newton on rhs = 0
+    uses sigma = 0, c = -1 (M = J); a BDF iteration uses sigma = 1.
     """
 
     def __init__(
@@ -197,45 +221,40 @@ class ShiftedLU:
         tables: CouplingTables,
         sigma: float,
         c: float,
-        a: np.ndarray | None = None,
+        a: np.ndarray,
     ):
         nf = tables.n_freqs
-        if a is None:
-            a, _ = _coefficients(y, tables)
         eq = tables.a1 * y + tables.b1
-        self.W = tables.W
+        self.Q, self.B = tables.Q, tables.B
         self.ce = c * eq[:nf]
         self.d = sigma - c * a[nf:]
         self.g = c * eq[nf:] / self.d
-        schur = _gram(self.W, self.g)
+        schur = _gram(self.B, self.g)
+        if self.Q.shape[1] < nf:
+            schur = self.Q @ schur @ self.Q.T
         schur *= -self.ce[:, None]
         schur[np.diag_indices(nf)] += sigma - c * a[:nf]
         self.lu = lu_factor(schur, overwrite_a=True, check_finite=False)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """x with M x = r."""
-        nf = self.ce.size
+        nf, Q, B = self.ce.size, self.Q, self.B
         r_p = r[nf:] / self.d
-        x_e = lu_solve(self.lu, r[:nf] + self.ce * (self.W @ r_p), check_finite=False)
-        return np.concatenate([x_e, r_p + self.g * (x_e @ self.W)])
+        x_e = lu_solve(self.lu, r[:nf] + self.ce * (Q @ (B @ r_p)), check_finite=False)
+        return np.concatenate([x_e, r_p + self.g * ((x_e @ Q) @ B)])
 
 
-def _gram(W: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """W diag(g) W^T (Fortran order) from one dsyrk per sign of g."""
-    n = W.shape[0]
+def _gram(B: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """B diag(g) B^T (Fortran order) from one dsyrk per sign of g."""
+    n = B.shape[0]
     out = np.zeros((n, n), order="F")
     negative = g < 0.0
     for sign, cols in ((1.0, ~negative), (-1.0, negative)):
-        if not cols.any():
-            continue
-        if cols.all():
-            scaled = W * np.sqrt(sign * g)
-        else:
-            scaled = W[:, cols]
-            scaled *= np.sqrt(sign * g[cols])
-        # the transposed view of a C-ordered array is Fortran-ordered: f2py
-        # passes it without a copy, and trans=1 forms scaled @ scaled.T
-        out = dsyrk(sign, scaled.T, beta=1.0, c=out, trans=1, overwrite_c=1)
+        if cols.any():
+            scaled = (B if cols.all() else B[:, cols]) * np.sqrt(sign * g[cols])
+            # the transposed view of a C-ordered array is Fortran-ordered: f2py
+            # passes it without a copy, and trans=1 forms scaled @ scaled.T
+            out = dsyrk(sign, scaled.T, beta=1.0, c=out, trans=1, overwrite_c=1)
     # dsyrk fills the upper triangle; mirror it into the lower one
     lower = np.tril_indices(n, -1)
     out[lower] = out.T[lower]

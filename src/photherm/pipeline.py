@@ -236,7 +236,7 @@ def stage_dynamics(ctx: RunContext) -> list[Path]:
     )
     state_csv = _write_state(ctx, ctx.out_dir / "dynamics-state.csv", traj.final)
     ctx.final_state = traj.final
-    ctx.manifest.metrics["dynamics"] = dict(traj.metadata)
+    ctx.manifest.metrics["dynamics"] = dict(traj.metadata, range_rank=t.Q.shape[1])
     return [out, state_csv]
 
 
@@ -261,6 +261,7 @@ def stage_steady(ctx: RunContext) -> list[Path]:
         "residual_norm": float(result.residual_norm),
         "newton": result.iterations.get("newton", 0),
         "krylov": result.iterations.get("krylov", 0),
+        "range_rank": t.Q.shape[1],
         "seed": seed_kind,
     }
     if not result.converged:

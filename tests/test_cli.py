@@ -79,6 +79,8 @@ class TestPipeline:
         assert m["preset"] == "eq-strong" and m["scale"] == "reduced"
         assert m["metrics"]["steady"]["converged"] is True
         dyn = m["metrics"]["dynamics"]
+        # the Newton matrix's range basis of W, certified at rank 64 of 100
+        assert m["metrics"]["steady"]["range_rank"] == dyn["range_rank"] == 64
         assert dyn["accepted_steps"] > 0
         assert 0.0 < dyn["min_step"] <= dyn["max_step"] <= 1e-12
         for stage in m["stages"]:

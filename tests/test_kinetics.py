@@ -265,15 +265,59 @@ def shifted_lu_state(kind: str, t: kinetics.CouplingTables) -> np.ndarray:
     return t.pack(n_e, rng.uniform(0.0, 10.0, t.n_modes))
 
 
+@pytest.fixture(scope="module")
+def full_rank_tables(reduced_table, reduced_params):
+    """Reduced tables with Lorentzians narrower than the atom-grid spacing:
+    W has full rank, so the range basis is exact."""
+    p = reduced_params.replace(dephasing_rate=1e12)
+    return kinetics.build_tables(
+        reduced_table.omega, reduced_table.gamma_conf, atoms.build_grid(p), p
+    )
+
+
+@pytest.fixture(scope="module")
+def full_tables(full_table, full_params):
+    grid = atoms.build_grid(full_params)
+    return kinetics.build_tables(full_table.omega, full_table.gamma_conf, grid, full_params)
+
+
+class TestRangeBasis:
+    @pytest.mark.parametrize("name", ["reduced_tables", "full_tables"])
+    def test_rank_64_basis_reproduces_w(self, name, request):
+        t = request.getfixturevalue(name)
+        # the Lorentzian spans ~100 atom-grid spacings: the first rank tried
+        # is certified at both scales
+        assert t.Q.shape == (t.n_freqs, 64) and t.B.shape == (64, t.n_modes)
+        assert np.abs(t.Q.T @ t.Q - np.eye(64)).max() <= 1e-14
+        assert np.array_equal(t.B, t.Q.T @ t.W)
+        err = np.linalg.norm(t.W - t.Q @ t.B)
+        assert err <= kinetics.RANGE_RTOL * np.linalg.norm(t.W)
+
+    def test_basis_is_reproducible(self, reduced_table, reduced_params):
+        grid = atoms.build_grid(reduced_params)
+        a, b = (
+            kinetics.build_tables(
+                reduced_table.omega, reduced_table.gamma_conf, grid, reduced_params
+            )
+            for _ in range(2)
+        )
+        assert np.array_equal(a.Q, b.Q) and np.array_equal(a.B, b.B)
+
+    def test_full_rank_w_gets_exact_basis(self, full_rank_tables):
+        t = full_rank_tables
+        assert np.array_equal(t.Q, np.eye(t.n_freqs)) and t.B is t.W
+        assert t.n_freqs == 100
+
+
 class TestShiftedLU:
     @pytest.mark.parametrize("kind", ["thermal", "inverted", "half-inverted"])
     @pytest.mark.parametrize("sigma, c", [(0.0, -1.0), (1.0, 1e-12), (1.0, 1e-9)])
     def test_solve_matches_dense(self, reduced_tables, kind, sigma, c):
         t = reduced_tables
         y = shifted_lu_state(kind, t)
-        lu = kinetics.ShiftedLU(y, t, sigma, c)
-        # the states cover both rank-k updates of the Schur complement alone
-        # and together
+        lu = kinetics.ShiftedLU(y, t, sigma, c, kinetics.affine_coefficients(y, t)[0])
+        # the states cover both rank-k updates of the r x r core B diag(g) B^T
+        # alone and together; the dense reference uses the exact W
         if kind == "thermal":
             assert np.all(lu.g >= 0.0)
         elif kind == "inverted" and (sigma, c) == (1.0, 1e-9):
@@ -285,15 +329,10 @@ class TestShiftedLU:
         ref = np.linalg.solve(M, r)
         assert np.linalg.norm(lu.solve(r) - ref) <= 1e-10 * np.linalg.norm(ref)
 
-    def test_given_diagonal_gives_same_factors(self, reduced_tables):
-        t = reduced_tables
-        y = shifted_lu_state("half-inverted", t)
-        a = kinetics.affine_coefficients(y, t)[0]
-        r = np.random.default_rng(4).standard_normal(y.size)
-        assert np.array_equal(
-            kinetics.ShiftedLU(y, t, 1.0, 1e-9, a).solve(r),
-            kinetics.ShiftedLU(y, t, 1.0, 1e-9).solve(r),
-        )
+    @pytest.mark.parametrize("kind", ["thermal", "inverted", "half-inverted"])
+    @pytest.mark.parametrize("sigma, c", [(0.0, -1.0), (1.0, 1e-12), (1.0, 1e-9)])
+    def test_exact_basis_solve_matches_dense(self, full_rank_tables, kind, sigma, c):
+        self.test_solve_matches_dense(full_rank_tables, kind, sigma, c)
 
 
 class TestTotalExcitation:

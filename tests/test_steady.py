@@ -115,7 +115,23 @@ class TestSolveSteady:
             )
 
 
-@pytest.mark.parametrize("name", ["eq-strong", "eq-weak", "eq-lossy", "noneq"])
+# Newton steps from seed_guess at TOL; the Newton matrix couples through the
+# rank-64 range basis of W, and its step counts are those of the exact W
+FULL_STEPS = {"eq-strong": 3, "eq-weak": 2, "eq-lossy": 3, "noneq": 10}
+REDUCED_STEPS = {"eq-strong": 3, "eq-weak": 2, "eq-lossy": 3, "noneq": 9}
+
+
+@pytest.mark.parametrize("name", REDUCED_STEPS)
+def test_reduced_scale_newton_steps(name, reduced_table):
+    p = apply_scale(preset(name), "reduced")
+    t = kinetics.build_tables(
+        reduced_table.omega, reduced_table.gamma_conf, atoms.build_grid(p), p
+    )
+    res = steady.solve_steady(steady.seed_guess(t), t, tol=TOL)
+    assert res.converged and res.iterations["newton"] == REDUCED_STEPS[name]
+
+
+@pytest.mark.parametrize("name", FULL_STEPS)
 def test_full_scale_converges_from_seed(name, full_table):
     p = preset(name)
     t = kinetics.build_tables(
@@ -123,6 +139,7 @@ def test_full_scale_converges_from_seed(name, full_table):
     )
     res = steady.solve_steady(steady.seed_guess(t), t, tol=TOL)
     assert res.converged
+    assert res.iterations["newton"] == FULL_STEPS[name]
     assert steady.scaled_residual(res.state, t) < TOL
     n_e, photons = t.split(res.state)
     assert np.all(np.isfinite(res.state))
