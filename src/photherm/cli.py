@@ -143,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         params = build_params(args.config, args.preset, args.param, args.scale)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, OSError) as exc:  # OSError: unreadable --config
         print(f"photherm: bad parameters: {exc}", file=sys.stderr)
         return 2
     stages = (

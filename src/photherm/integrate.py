@@ -48,19 +48,15 @@ class Trajectory:
         return self.states[-1]
 
 
-def log_times(
-    t_end: float,
-    points_per_decade: int = POINTS_PER_DECADE,
-    t_start: float = T_FLOOR,
-) -> np.ndarray:
-    """Log-spaced sample times over [t_start, t_end], t=0 prepended."""
-    if t_end <= t_start:
+def log_times(t_end: float, points_per_decade: int = POINTS_PER_DECADE) -> np.ndarray:
+    """Log-spaced sample times over [T_FLOOR, t_end], t=0 prepended."""
+    if t_end <= T_FLOOR:
         raise ValueError("t_end must exceed the log-grid start")
     if points_per_decade < 1:
         raise ValueError(f"points_per_decade must be at least 1, got {points_per_decade}")
-    decades = math.log10(t_end / t_start)
+    decades = math.log10(t_end / T_FLOOR)
     n = max(2, int(round(decades * points_per_decade)) + 1)
-    grid = np.logspace(math.log10(t_start), math.log10(t_end), n)
+    grid = np.logspace(math.log10(T_FLOOR), math.log10(t_end), n)
     grid[-1] = t_end
     return np.concatenate([[0.0], grid])
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.blas import dsyrk
 
 from . import atoms
 from .params import PhysicalParams
@@ -207,12 +206,8 @@ class ShiftedLU:
     W diag(g) W^T becomes Q (B diag(g) B^T) Q^T, and each solve is four thin
     gemv calls and one triangular pair.  Callers check every step against
     the exact rhs, so the basis sets how fast Newton and BDF converge, not
-    where they converge to.  The r x r core is symmetric, so it
-    is built by BLAS dsyrk, half the flops of a gemm: one rank-k update with
-    the columns of B scaled by sqrt(g) where g >= 0, and one subtracted for
-    sqrt(-g) where g < 0 (empty when no g is negative, as in every Newton
-    step and every BDF iteration away from inversion).  Newton on rhs = 0
-    uses sigma = 0, c = -1 (M = J); a BDF iteration uses sigma = 1.
+    where they converge to.  Newton on rhs = 0 uses sigma = 0, c = -1
+    (M = J); a BDF iteration uses sigma = 1.
     """
 
     def __init__(
@@ -229,7 +224,7 @@ class ShiftedLU:
         self.ce = c * eq[:nf]
         self.d = sigma - c * a[nf:]
         self.g = c * eq[nf:] / self.d
-        schur = _gram(self.B, self.g)
+        schur = (self.B * self.g) @ self.B.T
         if self.Q.shape[1] < nf:
             schur = self.Q @ schur @ self.Q.T
         schur *= -self.ce[:, None]
@@ -242,20 +237,3 @@ class ShiftedLU:
         r_p = r[nf:] / self.d
         x_e = lu_solve(self.lu, r[:nf] + self.ce * (Q @ (B @ r_p)), check_finite=False)
         return np.concatenate([x_e, r_p + self.g * ((x_e @ Q) @ B)])
-
-
-def _gram(B: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """B diag(g) B^T (Fortran order) from one dsyrk per sign of g."""
-    n = B.shape[0]
-    out = np.zeros((n, n), order="F")
-    negative = g < 0.0
-    for sign, cols in ((1.0, ~negative), (-1.0, negative)):
-        if cols.any():
-            scaled = (B if cols.all() else B[:, cols]) * np.sqrt(sign * g[cols])
-            # the transposed view of a C-ordered array is Fortran-ordered: f2py
-            # passes it without a copy, and trans=1 forms scaled @ scaled.T
-            out = dsyrk(sign, scaled.T, beta=1.0, c=out, trans=1, overwrite_c=1)
-    # dsyrk fills the upper triangle; mirror it into the lower one
-    lower = np.tril_indices(n, -1)
-    out[lower] = out.T[lower]
-    return out

@@ -300,11 +300,9 @@ def count_peaks(omega: np.ndarray, params: PhysicalParams) -> np.ndarray:
     return (m + 1) // 2 + ((m % 2 == 0) & (rho > 0.5 * np.pi))
 
 
-def solve_modes(params: PhysicalParams, omega_max: float | None = None) -> ModeTable:
-    """Find, normalize, and classify every eigenmode up to omega_max."""
-    if omega_max is None:
-        omega_max = params.omega_max
-    omega = scan_eigenfrequencies(params, omega_max)
+def solve_modes(params: PhysicalParams) -> ModeTable:
+    """Find, normalize, and classify every eigenmode up to params.omega_max."""
+    omega = scan_eigenfrequencies(params)
     if omega.size == 0:
         raise ValueError("no eigenmodes found below omega_max")
 
@@ -320,5 +318,5 @@ def solve_modes(params: PhysicalParams, omega_max: float | None = None) -> ModeT
         crystal_length=params.crystal_length,
         plane_spacing=params.plane_spacing,
         n_planes=params.n_planes,
-        omega_max=float(omega_max),
+        omega_max=float(params.omega_max),
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,6 +65,9 @@ class PhysicalParams:
     scale: str = "full"
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         positive = (
             "cavity_length",
             "plane_spacing",
@@ -163,13 +167,6 @@ class PhysicalParams:
         )
         blob = json.dumps(key).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "PhysicalParams":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 # ----------------------------------------------------------------------

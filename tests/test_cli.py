@@ -337,6 +337,24 @@ class TestArgumentHandling:
         assert code == 2
         assert "bad parameters" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override", ["plane_strength=nan", "cavity_length=inf", "omega_max=inf",
+                     "temperature=-inf"]
+    )
+    def test_non_finite_param_exits_2(self, tmp_path, capsys, override):
+        code = main(["modes", "--out-dir", str(tmp_path), "--scale", "reduced",
+                     "--param", override])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad parameters" in err and "must be finite" in err
+        assert not (tmp_path / "modes.csv").exists()
+
+    def test_missing_config_exits_2(self, tmp_path, capsys):
+        code = main(["modes", "--out-dir", str(tmp_path),
+                     "--config", str(tmp_path / "no-such.json")])
+        assert code == 2
+        assert "bad parameters" in capsys.readouterr().err
+
     def test_method_flag_has_one_choice(self, tmp_path):
         # --method exponential-diagonal is accepted and ignored
         code = main(["dynamics", "--out-dir", str(tmp_path), *FAST])

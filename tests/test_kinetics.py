@@ -276,6 +276,16 @@ def full_rank_tables(reduced_table, reduced_params):
 
 
 @pytest.fixture(scope="module")
+def mid_rank_tables(reduced_table, reduced_params):
+    """Reduced tables on a 200-point atom grid with narrower Lorentzians:
+    the first rank tried fails the error check and the doubled one passes."""
+    p = reduced_params.replace(n_atom_freqs=200, dephasing_rate=5e13)
+    return kinetics.build_tables(
+        reduced_table.omega, reduced_table.gamma_conf, atoms.build_grid(p), p
+    )
+
+
+@pytest.fixture(scope="module")
 def full_tables(full_table, full_params):
     grid = atoms.build_grid(full_params)
     return kinetics.build_tables(full_table.omega, full_table.gamma_conf, grid, full_params)
@@ -284,11 +294,17 @@ def full_tables(full_table, full_params):
 class TestRangeBasis:
     @pytest.mark.parametrize("name", ["reduced_tables", "full_tables"])
     def test_rank_64_basis_reproduces_w(self, name, request):
-        t = request.getfixturevalue(name)
         # the Lorentzian spans ~100 atom-grid spacings: the first rank tried
         # is certified at both scales
-        assert t.Q.shape == (t.n_freqs, 64) and t.B.shape == (64, t.n_modes)
-        assert np.abs(t.Q.T @ t.Q - np.eye(64)).max() <= 1e-14
+        self.check_basis(request.getfixturevalue(name), 64)
+
+    def test_doubled_rank_basis_reproduces_w(self, mid_rank_tables):
+        self.check_basis(mid_rank_tables, 128)
+
+    @staticmethod
+    def check_basis(t, rank):
+        assert t.Q.shape == (t.n_freqs, rank) and t.B.shape == (rank, t.n_modes)
+        assert np.abs(t.Q.T @ t.Q - np.eye(rank)).max() <= 1e-14
         assert np.array_equal(t.B, t.Q.T @ t.W)
         err = np.linalg.norm(t.W - t.Q @ t.B)
         assert err <= kinetics.RANGE_RTOL * np.linalg.norm(t.W)
@@ -316,8 +332,8 @@ class TestShiftedLU:
         t = reduced_tables
         y = shifted_lu_state(kind, t)
         lu = kinetics.ShiftedLU(y, t, sigma, c, kinetics.affine_coefficients(y, t)[0])
-        # the states cover both rank-k updates of the r x r core B diag(g) B^T
-        # alone and together; the dense reference uses the exact W
+        # the states give the r x r core B diag(g) B^T a g of either sign or
+        # of mixed signs; the dense reference uses the exact W
         if kind == "thermal":
             assert np.all(lu.g >= 0.0)
         elif kind == "inverted" and (sigma, c) == (1.0, 1e-9):
@@ -333,6 +349,11 @@ class TestShiftedLU:
     @pytest.mark.parametrize("sigma, c", [(0.0, -1.0), (1.0, 1e-12), (1.0, 1e-9)])
     def test_exact_basis_solve_matches_dense(self, full_rank_tables, kind, sigma, c):
         self.test_solve_matches_dense(full_rank_tables, kind, sigma, c)
+
+    @pytest.mark.parametrize("kind", ["thermal", "inverted", "half-inverted"])
+    @pytest.mark.parametrize("sigma, c", [(0.0, -1.0), (1.0, 1e-12), (1.0, 1e-9)])
+    def test_mid_rank_solve_matches_dense(self, mid_rank_tables, kind, sigma, c):
+        self.test_solve_matches_dense(mid_rank_tables, kind, sigma, c)
 
 
 class TestTotalExcitation:
