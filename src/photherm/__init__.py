@@ -11,7 +11,7 @@ one-dimensional blackbody reference.
 """
 
 from ._version import __version__
-from .atoms import bose_einstein, build_grid, coupling_constants, fermi_dirac, pump_rate
+from .atoms import bose_einstein, build_grid, fermi_dirac, pump_rate
 from .bands import BandStructure, band_structure, in_gap_mask, representatives
 from .integrate import Trajectory, detect_saturation, integrate, log_times
 from .kinetics import CouplingTables, build_tables, quasi_steady_photon, rhs
@@ -46,7 +46,6 @@ __all__ = [
     "build_grid",
     "build_params",
     "build_tables",
-    "coupling_constants",
     "detect_saturation",
     "emission_detector",
     "emission_raw",

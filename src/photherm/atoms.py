@@ -1,4 +1,4 @@
-"""Two-level-atom frequency grid, occupation laws, and coupling constants.
+"""Two-level-atom frequency grid and occupation laws.
 
 Atoms are grouped into N_omega frequency bins spread uniformly over the open
 interval (0, omega_max), N_j identical atoms per bin. Thermal occupation is
@@ -79,12 +79,3 @@ def bose_einstein(omega, temperature: float):
     if np.ndim(omega) == 0:
         return float(out[0])
     return out
-
-
-def coupling_constants(params: PhysicalParams) -> tuple[float, float]:
-    """(g_atom, g_photon): dimensionless interaction strengths.
-
-    g_photon = 2 mu^2 n_atom / (hbar eps0 gamma) and g_atom = g_photon / N_j
-    exactly (per-atom vs per-volume weighting of the same matrix element).
-    """
-    return params.g_atom, params.g_photon

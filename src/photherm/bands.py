@@ -89,13 +89,14 @@ def band_structure(table: ModeTable) -> BandStructure:
     omega_cc = table.omega[cc]
     if np.any(np.diff(omega_cc) <= 0.0):
         raise ValueError("crystal-class frequencies are not strictly increasing")
-    raw = analytic_gaps(table.plane_strength, table.plane_spacing, table.omega_max)
+    p = table.params
+    raw = analytic_gaps(p.plane_strength, p.plane_spacing, p.omega_max)
     # voids between consecutive crystal-class modes, and the one each gap's
     # midpoint falls in
-    edges = np.concatenate(([0.0], omega_cc, [table.omega_max]))
+    edges = np.concatenate(([0.0], omega_cc, [p.omega_max]))
     void = np.unique(np.searchsorted(omega_cc, raw.mean(axis=1), side="right"))
     gaps = np.column_stack([edges[void], edges[void + 1]])
-    spacing = math.pi * C / table.cavity_length
+    spacing = math.pi * C / p.cavity_length
     wide = gaps[:, 1] - gaps[:, 0] > MIN_GAP_SPACING_FACTOR * spacing
     return BandStructure(k=table.k_assigned[cc], omega=omega_cc, gaps=gaps[wide])
 

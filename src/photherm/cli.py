@@ -16,7 +16,7 @@ import os
 import sys
 
 from .params import build_params
-from .pipeline import StageError, run_pipeline
+from .pipeline import STAGE_DEFAULTS, StageError, run_pipeline
 
 PRESET_NAMES = ("eq-strong", "eq-weak", "eq-lossy", "noneq")
 # parsed arguments that select the parameters or the run, not a stage option
@@ -91,9 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_dynamics_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--t-end", type=float, default=1e-5, help="horizon in seconds")
-    p.add_argument("--rtol", type=float, default=1e-4)
-    p.add_argument("--atol", type=float, default=1e-14)
+    p.add_argument(
+        "--t-end", type=float, default=STAGE_DEFAULTS["t_end"], help="horizon in seconds"
+    )
+    p.add_argument("--rtol", type=float, default=STAGE_DEFAULTS["rtol"])
+    p.add_argument("--atol", type=float, default=STAGE_DEFAULTS["atol"])
     p.add_argument(
         "--method",
         choices=("exponential-diagonal",),
@@ -110,11 +112,15 @@ def _add_dynamics_flags(p: argparse.ArgumentParser) -> None:
         help="record the mode/atom nearest this frequency (repeatable; "
         "default: band-edge and in-gap probe modes)",
     )
-    p.add_argument("--points-per-decade", type=int, default=60)
+    p.add_argument(
+        "--points-per-decade", type=int, default=STAGE_DEFAULTS["points_per_decade"]
+    )
 
 
 def _add_steady_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-10, help="scaled residual target")
+    p.add_argument(
+        "--tol", type=float, default=STAGE_DEFAULTS["tol"], help="scaled residual target"
+    )
     p.add_argument(
         "--seed-from",
         metavar="STATE_CSV",
@@ -136,14 +142,16 @@ def _add_spectrum_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--ratio", action="store_true", help="also write spectrum over blackbody"
     )
-    p.add_argument("--n-samples", type=int, default=2000)
+    p.add_argument("--n-samples", type=int, default=STAGE_DEFAULTS["n_samples"])
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         params = build_params(args.config, args.preset, args.param, args.scale)
-    except (KeyError, ValueError, OSError) as exc:  # OSError: unreadable --config
+    except (KeyError, ValueError, OverflowError, OSError) as exc:
+        # OSError: an unreadable --config; OverflowError: an integer beyond
+        # float range given for a float field
         print(f"photherm: bad parameters: {exc}", file=sys.stderr)
         return 2
     stages = (

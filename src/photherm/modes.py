@@ -45,7 +45,7 @@ ROOT_RTOL = 1e-12
 CLASS_RTOL = 1e-11
 # Format of a saved ModeTable; a file with another (or no) version is stale
 # and solved again. Raise it whenever a saved field changes layout or value.
-CENSUS_VERSION = 3
+CENSUS_VERSION = 4
 
 
 @dataclass
@@ -55,22 +55,15 @@ class ModeTable:
     gamma_conf is the confinement factor: the fraction of the plain field
     energy integral int u^2 dz that falls inside the plane stack [0, L_c].
     Delta-plane terms enter the mode normalization but not this ratio.
-    k_assigned and is_crystal derive from the stored columns and geometry.
-    census_version is the CENSUS_VERSION the table was solved under.
+    params are the parameters the table was solved or loaded for;
+    k_assigned and is_crystal derive from the stored columns and their
+    geometry.
     """
 
     omega: np.ndarray
     gamma_conf: np.ndarray
     m_peak: np.ndarray
-
-    # geometry the table depends on
-    plane_strength: float
-    cavity_length: float
-    crystal_length: float
-    plane_spacing: float
-    n_planes: int
-    omega_max: float
-    census_version: int = CENSUS_VERSION
+    params: PhysicalParams
 
     @property
     def n_modes(self) -> int:
@@ -79,12 +72,12 @@ class ModeTable:
     @property
     def k_assigned(self) -> np.ndarray:
         """Bloch wavenumber 2*pi*m_peak/L_c: one positive hump per wavelength."""
-        return 2.0 * math.pi * self.m_peak / self.crystal_length
+        return 2.0 * math.pi * self.m_peak / self.params.crystal_length
 
     @property
     def is_crystal(self) -> np.ndarray:
         """Modes holding more of their energy in the stack than an even spread."""
-        even = self.crystal_length / self.cavity_length
+        even = self.params.crystal_length / self.params.cavity_length
         return self.gamma_conf > even * (1.0 + CLASS_RTOL)
 
     def save(self, path: str | Path) -> None:
@@ -93,47 +86,22 @@ class ModeTable:
             omega=self.omega,
             gamma_conf=self.gamma_conf,
             m_peak=self.m_peak,
-            census_version=self.census_version,
-            geometry=np.array(
-                [
-                    self.plane_strength,
-                    self.cavity_length,
-                    self.crystal_length,
-                    self.plane_spacing,
-                    float(self.n_planes),
-                    self.omega_max,
-                ]
-            ),
+            census_version=CENSUS_VERSION,
+            geometry=np.array(self.params.census_geometry()),
         )
 
     @classmethod
-    def load(cls, path: str | Path) -> "ModeTable":
-        data = np.load(path)
-        geo = data["geometry"]
-        return cls(
-            omega=data["omega"],
-            gamma_conf=data["gamma_conf"],
-            m_peak=data["m_peak"],
-            plane_strength=float(geo[0]),
-            cavity_length=float(geo[1]),
-            crystal_length=float(geo[2]),
-            plane_spacing=float(geo[3]),
-            n_planes=int(geo[4]),
-            omega_max=float(geo[5]),
-            census_version=(
-                int(data["census_version"]) if "census_version" in data else 0
-            ),
-        )
-
-    def matches(self, params: PhysicalParams) -> bool:
-        return (
-            self.census_version == CENSUS_VERSION
-            and self.plane_strength == params.plane_strength
-            and self.cavity_length == params.cavity_length
-            and self.crystal_length == params.crystal_length
-            and self.plane_spacing == params.plane_spacing
-            and self.omega_max == params.omega_max
-        )
+    def load(cls, path: str | Path, params: PhysicalParams) -> "ModeTable | None":
+        """The table saved at `path` for params, or None when the file was
+        saved under another CENSUS_VERSION or for another census geometry."""
+        with np.load(path) as data:
+            if (
+                "census_version" not in data
+                or int(data["census_version"]) != CENSUS_VERSION
+                or not np.array_equal(data["geometry"], params.census_geometry())
+            ):
+                return None
+            return cls(data["omega"], data["gamma_conf"], data["m_peak"], params)
 
 
 # ----------------------------------------------------------------------
@@ -188,10 +156,8 @@ def count_below(omega, params: PhysicalParams) -> np.ndarray:
     return _pruefer_phase(q, params, params.cavity_length)[0]
 
 
-def scan_eigenfrequencies(
-    params: PhysicalParams, omega_max: float | None = None
-) -> np.ndarray:
-    """All eigenfrequencies in (0, omega_max], refined to ROOT_RTOL.
+def scan_eigenfrequencies(params: PhysicalParams) -> np.ndarray:
+    """All eigenfrequencies in (0, params.omega_max], refined to ROOT_RTOL.
 
     The exact oscillation count on a scan grid (spacing SCAN_SPACING_FACTOR
     times the empty-cavity mode spacing pi*c/L) numbers the roots and gives
@@ -202,11 +168,9 @@ def scan_eigenfrequencies(
     roots sharing a cell (near-degenerate pairs at band edges) separate as soon
     as a midpoint falls between them.
     """
-    if omega_max is None:
-        omega_max = params.omega_max
     step = SCAN_SPACING_FACTOR * math.pi * C / params.cavity_length
-    edges = np.arange(0.0, omega_max + step, step)
-    edges[-1] = omega_max
+    edges = np.arange(0.0, params.omega_max + step, step)
+    edges[-1] = params.omega_max
     if edges.size < 2:
         return np.empty(0)
     counts = count_below(edges, params)
@@ -309,14 +273,4 @@ def solve_modes(params: PhysicalParams) -> ModeTable:
     _, seg = normalize_modes(omega, params)
     n_inside = params.n_planes  # regions [0, z_1], ..., [z_{n-1}, L_c]
     gamma_conf = seg[:, :n_inside].sum(axis=1) / seg.sum(axis=1)
-    return ModeTable(
-        omega=omega,
-        gamma_conf=gamma_conf,
-        m_peak=count_peaks(omega, params),
-        plane_strength=params.plane_strength,
-        cavity_length=params.cavity_length,
-        crystal_length=params.crystal_length,
-        plane_spacing=params.plane_spacing,
-        n_planes=params.n_planes,
-        omega_max=float(params.omega_max),
-    )
+    return ModeTable(omega, gamma_conf, count_peaks(omega, params), params)

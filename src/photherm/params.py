@@ -23,6 +23,8 @@ from .constants import ELEMENTARY_CHARGE, HBAR, VACUUM_PERMITTIVITY
 DEFAULT_DIPOLE = ELEMENTARY_CHARGE * 1.3e-9
 
 SCALES = ("full", "reduced")
+# Python types a value may have, by the type named in a field's annotation.
+FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
 @dataclass(frozen=True)
@@ -142,11 +144,21 @@ class PhysicalParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PhysicalParams":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        """Parameters from plain values, each checked against its field's type.
+
+        Int fields take integers, float fields integers or floats (stored as
+        float), and a bool is neither; any other value raises ValueError.
+        """
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(data) - set(types)
         if unknown:
             raise ValueError(f"unknown parameter(s): {sorted(unknown)}")
-        return cls(**data)
+        values = {}
+        for name, value in data.items():
+            if isinstance(value, bool) or not isinstance(value, FIELD_TYPES[types[name]]):
+                raise ValueError(f"{name} must be of type {types[name]}, got {value!r}")
+            values[name] = float(value) if types[name] == "float" else value
+        return cls(**values)
 
     def replace(self, **changes) -> "PhysicalParams":
         return dataclasses.replace(self, **changes)
@@ -156,16 +168,19 @@ class PhysicalParams:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
-    def mode_cache_key(self) -> str:
-        """Hash of the quantities the eigenmode table depends on."""
-        key = (
+    def census_geometry(self) -> tuple[float, ...]:
+        """The quantities the eigenmode census depends on."""
+        return (
             self.plane_strength,
             self.cavity_length,
             self.crystal_length,
             self.plane_spacing,
             self.omega_max,
         )
-        blob = json.dumps(key).encode()
+
+    def mode_cache_key(self) -> str:
+        """Hash of the census geometry."""
+        blob = json.dumps(self.census_geometry()).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
@@ -205,13 +220,15 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def preset(name: str, **overrides) -> PhysicalParams:
-    """Build full-scale parameters for a named operating point."""
+def _preset_values(name: str) -> dict:
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    merged = dict(PRESETS[name])
-    merged.update(overrides)
-    return PhysicalParams(**merged)
+    return PRESETS[name]
+
+
+def preset(name: str, **overrides) -> PhysicalParams:
+    """Build full-scale parameters for a named operating point."""
+    return PhysicalParams.from_dict({**_preset_values(name), **overrides})
 
 
 def apply_scale(params: PhysicalParams, scale: str) -> PhysicalParams:
@@ -236,20 +253,18 @@ def apply_scale(params: PhysicalParams, scale: str) -> PhysicalParams:
 
 
 def parse_override(text: str) -> tuple[str, object]:
-    """Parse one 'name=value' override, coercing to the field's type."""
+    """Parse one 'name=value' override into the name and an int, float or
+    string value, the first that reads; `PhysicalParams.from_dict` checks it
+    against the field's type."""
     if "=" not in text:
         raise ValueError(f"override {text!r} is not of the form name=value")
-    name, raw = text.split("=", 1)
-    name = name.strip()
-    fields = {f.name: f for f in dataclasses.fields(PhysicalParams)}
-    if name not in fields:
-        raise ValueError(f"unknown parameter {name!r}")
-    ftype = fields[name].type
-    if ftype == "int":
-        return name, int(raw)
-    if ftype == "float":
-        return name, float(raw)
-    return name, raw.strip()
+    name, raw = (part.strip() for part in text.split("=", 1))
+    for parse in (int, float):
+        try:
+            return name, parse(raw)
+        except ValueError:
+            pass
+    return name, raw
 
 
 def build_params(
@@ -262,17 +277,13 @@ def build_params(
     order of increasing precedence), then apply the scale."""
     base: dict = {}
     if preset_name is not None:
-        if preset_name not in PRESETS:
-            raise KeyError(f"unknown preset {preset_name!r}; choose from {sorted(PRESETS)}")
-        base.update(PRESETS[preset_name])
+        base.update(_preset_values(preset_name))
     if config_path is not None:
         file_data = json.loads(Path(config_path).read_text())
         if not isinstance(file_data, dict):
             raise ValueError("config file must hold a JSON object")
         base.update(file_data)
-    for text in overrides or ():
-        name, value = parse_override(text)
-        base[name] = value
+    base.update(parse_override(text) for text in overrides or ())
     base.pop("scale", None)
     params = PhysicalParams.from_dict(base)
     return apply_scale(params, scale)

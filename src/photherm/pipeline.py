@@ -25,11 +25,21 @@ import numpy as np
 from . import atoms, bands, kinetics, modes, spectra, steady
 from ._version import __version__
 from .csvio import read_csv, write_csv
-from .integrate import integrate
+from .integrate import POINTS_PER_DECADE, integrate
 from .params import PhysicalParams
 
 MANIFEST_NAME = "run-manifest.json"
 STAGE_ORDER = ("modes", "bands", "dynamics", "steady", "spectrum")
+# Stage options a run falls back on when it is not given them; the
+# command-line flags take their defaults from here.
+STAGE_DEFAULTS = {
+    "t_end": 1e-5,
+    "rtol": 1e-4,
+    "atol": 1e-14,
+    "points_per_decade": POINTS_PER_DECADE,
+    "tol": 1e-10,
+    "n_samples": spectra.DEFAULT_N_SAMPLES,
+}
 
 
 class StageError(RuntimeError):
@@ -64,7 +74,6 @@ class RunContext:
     params: PhysicalParams
     out_dir: Path
     manifest: RunManifest
-    options: dict = field(default_factory=dict)
     mode_table: modes.ModeTable | None = None
     tables: kinetics.CouplingTables | None = None
     final_state: np.ndarray | None = None
@@ -79,6 +88,11 @@ class RunContext:
         }
         meta.update(extra)
         return meta
+
+    def option(self, name: str):
+        """The stage option the run was given, else its STAGE_DEFAULTS value."""
+        value = self.manifest.options.get(name)
+        return STAGE_DEFAULTS.get(name) if value is None else value
 
     def get_modes(self) -> modes.ModeTable:
         if self.mode_table is None:
@@ -101,10 +115,9 @@ def load_or_solve_modes(
 ) -> tuple[modes.ModeTable, bool]:
     """Load the eigenmode census from the geometry-keyed cache, else solve."""
     cache = Path(out_dir) / "cache" / f"modes-{params.mode_cache_key()}.npz"
-    if cache.exists():
-        table = modes.ModeTable.load(cache)
-        if table.matches(params):
-            return table, True
+    table = modes.ModeTable.load(cache, params) if cache.exists() else None
+    if table is not None:
+        return table, True
     table = modes.solve_modes(params)
     cache.parent.mkdir(parents=True, exist_ok=True)
     table.save(cache)
@@ -193,7 +206,7 @@ def _probe_indices(ctx: RunContext) -> tuple[list[int], list[int]]:
     probe modes."""
     table = ctx.get_modes()
     t = ctx.get_tables()
-    freqs = ctx.options.get("probe_freqs") or []
+    freqs = ctx.option("probe_freqs") or []
     if not freqs:
         reps = bands.representatives(table, bands.band_structure(table))
         freqs = [float(table.omega[reps["band_edge"]]), float(table.omega[reps["in_gap"]])]
@@ -204,10 +217,9 @@ def _probe_indices(ctx: RunContext) -> tuple[list[int], list[int]]:
 
 def stage_dynamics(ctx: RunContext) -> list[Path]:
     t = ctx.get_tables()
-    opts = ctx.options
-    t_end = float(opts.get("t_end", 1e-5))
-    rtol = float(opts.get("rtol", 1e-4))
-    atol = float(opts.get("atol", 1e-14))
+    t_end = float(ctx.option("t_end"))
+    rtol = float(ctx.option("rtol"))
+    atol = float(ctx.option("atol"))
     y0 = np.zeros(t.n_freqs + t.n_modes)
     traj = integrate(
         y0,
@@ -215,7 +227,7 @@ def stage_dynamics(ctx: RunContext) -> list[Path]:
         t,
         rtol=rtol,
         atol=atol,
-        points_per_decade=int(opts.get("points_per_decade", 60)),
+        points_per_decade=int(ctx.option("points_per_decade")),
     )
     mode_idx, atom_idx = _probe_indices(ctx)
     columns: dict = {"t": traj.times}
@@ -243,8 +255,7 @@ def stage_dynamics(ctx: RunContext) -> list[Path]:
 def stage_steady(ctx: RunContext) -> list[Path]:
     t = ctx.get_tables()
     table = ctx.get_modes()
-    opts = ctx.options
-    seed_from = opts.get("seed_from")
+    seed_from = ctx.option("seed_from")
     if seed_from:
         guess = _read_state(ctx, seed_from)
         seed_kind = f"file:{seed_from}"
@@ -254,7 +265,7 @@ def stage_steady(ctx: RunContext) -> list[Path]:
     else:
         guess = steady.seed_guess(t)
         seed_kind = "analytic"
-    tol = float(opts.get("tol", 1e-10))
+    tol = float(ctx.option("tol"))
     result = steady.solve_steady(guess, t, tol=tol)
     metrics = ctx.manifest.metrics["steady"] = {
         "converged": bool(result.converged),
@@ -300,8 +311,7 @@ def stage_steady(ctx: RunContext) -> list[Path]:
 
 def stage_spectrum(ctx: RunContext) -> list[Path]:
     table = ctx.get_modes()
-    opts = ctx.options
-    source = opts.get("input")
+    source = ctx.option("input")
     if source:
         state = _read_state(ctx, source)
     elif ctx.final_state is not None:
@@ -318,11 +328,9 @@ def stage_spectrum(ctx: RunContext) -> list[Path]:
                 "no input state: pass --input or run the dynamics/steady stage first"
             )
     photons = state[ctx.params.n_atom_freqs :]
-    gamma_d = opts.get("gamma_d")
+    gamma_d = ctx.option("gamma_d")
     gamma_d = float(ctx.params.detector_width if gamma_d is None else gamma_d)
-    samples = spectra.default_samples(
-        ctx.params.omega_max, int(opts.get("n_samples", spectra.DEFAULT_N_SAMPLES))
-    )
+    samples = spectra.default_samples(ctx.params.omega_max, int(ctx.option("n_samples")))
     det = spectra.emission_detector(photons, table, samples, gamma_d=gamma_d)
     outputs = [
         write_csv(
@@ -332,9 +340,9 @@ def stage_spectrum(ctx: RunContext) -> list[Path]:
         )
     ]
     blackbody = None
-    if opts.get("blackbody") or opts.get("ratio"):
+    if ctx.option("blackbody") or ctx.option("ratio"):
         blackbody = spectra.blackbody_1d(samples, ctx.params.temperature)
-    if opts.get("blackbody"):
+    if ctx.option("blackbody"):
         outputs.append(
             write_csv(
                 ctx.out_dir / "spectrum-blackbody.csv",
@@ -342,7 +350,7 @@ def stage_spectrum(ctx: RunContext) -> list[Path]:
                 ctx.csv_metadata(kind=blackbody.kind, temperature=ctx.params.temperature),
             )
         )
-    if opts.get("ratio"):
+    if ctx.option("ratio"):
         ratio = spectra.spectral_ratio(det, blackbody)
         outputs.append(
             write_csv(
@@ -396,9 +404,7 @@ def run_pipeline(
         stages=ordered,
         options=dict(options or {}),
     )
-    ctx = RunContext(
-        params=params, out_dir=out_dir, manifest=manifest, options=dict(options or {})
-    )
+    ctx = RunContext(params=params, out_dir=out_dir, manifest=manifest)
     try:
         for name in ordered:
             start = time.perf_counter()

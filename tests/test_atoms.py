@@ -142,24 +142,24 @@ class TestBoseEinstein:
 class TestCouplingConstants:
     def test_strong_coupling_value(self):
         p = PhysicalParams(atom_density=5.0e24)
-        g_a, g_p = atoms.coupling_constants(p)
+        g_a, g_p = p.g_atom, p.g_photon
         assert g_p == pytest.approx(4.65, rel=0.01)
         assert g_a == pytest.approx(g_p / 600.0, rel=1e-14)
 
     def test_weak_coupling_value(self):
         p = PhysicalParams(atom_density=5.0e22)
-        _, g_p = atoms.coupling_constants(p)
+        g_p = p.g_photon
         assert g_p == pytest.approx(0.0465, rel=0.01)
 
     def test_zero_density(self):
         p = PhysicalParams(atom_density=0.0)
-        g_a, g_p = atoms.coupling_constants(p)
+        g_a, g_p = p.g_atom, p.g_photon
         assert g_a == 0.0 and g_p == 0.0
 
     def test_ratio_is_atoms_per_site(self):
         for n_j in (1, 17, 600):
             p = PhysicalParams(atoms_per_site=n_j)
-            g_a, g_p = atoms.coupling_constants(p)
+            g_a, g_p = p.g_atom, p.g_photon
             assert g_p == pytest.approx(n_j * g_a, rel=1e-14)
 
     @given(st.floats(min_value=0.1, max_value=10.0))

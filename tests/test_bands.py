@@ -111,7 +111,7 @@ class TestGapIntervals:
             assert not np.any((omega_cc > lo) & (omega_cc < hi))
 
     def test_gaps_beat_spacing_rule(self, full_table, full_bands):
-        spacing = math.pi * C / full_table.cavity_length
+        spacing = math.pi * C / full_table.params.cavity_length
         widths = full_bands.gaps[:, 1] - full_bands.gaps[:, 0]
         assert np.all(widths > bands.MIN_GAP_SPACING_FACTOR * spacing)
 
@@ -131,7 +131,7 @@ class TestRepresentatives:
 
     def test_in_gap_is_weakly_confined(self, reduced_table, reduced_bands):
         rep = bands.representatives(reduced_table, reduced_bands)
-        ratio = reduced_table.crystal_length / reduced_table.cavity_length
+        ratio = reduced_table.params.crystal_length / reduced_table.params.cavity_length
         assert reduced_table.gamma_conf[rep["in_gap"]] < ratio / 10.0
 
     def test_in_gap_lies_inside_a_gap(self, reduced_table, reduced_bands):

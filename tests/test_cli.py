@@ -19,6 +19,7 @@ import photherm
 from photherm import __version__, kinetics
 from photherm.cli import build_parser, main
 from photherm.csvio import read_csv, write_csv
+from photherm.params import preset
 
 FAST = [
     "--preset",
@@ -348,6 +349,27 @@ class TestArgumentHandling:
         err = capsys.readouterr().err
         assert "bad parameters" in err and "must be finite" in err
         assert not (tmp_path / "modes.csv").exists()
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"temperature": "400"}, {"n_planes": 12.5}, {"n_planes": True},
+         {"temperature": 10**400}],
+        ids=["string", "float-for-int", "bool", "int-beyond-float"],
+    )
+    def test_mistyped_config_value_exits_2(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["modes", "--out-dir", str(tmp_path), "--scale", "reduced",
+                     "--config", str(cfg)])
+        assert code == 2
+        assert "bad parameters" in capsys.readouterr().err
+        assert not (tmp_path / "modes.csv").exists()
+
+    def test_preset_overrides_are_type_checked(self):
+        with pytest.raises(ValueError, match="n_planes must be of type int"):
+            preset("eq-strong", n_planes=True)
+        # an integer is a float value, stored as a float
+        assert repr(preset("eq-strong", temperature=500).temperature) == "500.0"
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["modes", "--out-dir", str(tmp_path),

@@ -8,7 +8,6 @@ closed-form normalization is checked against an independent reference that
 propagates the field pair (u, w) itself.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from photherm import modes, pipeline
 from photherm.constants import SPEED_OF_LIGHT as C
-from photherm.params import PhysicalParams, apply_scale
+from photherm.params import PRESETS, PhysicalParams, apply_scale, preset
 
 FULL_EMPTY_COUNT = 6366  # floor(omega_max L / (pi c)) at defaults
 REDUCED_EMPTY_COUNT = 636
@@ -171,7 +170,7 @@ class TestScanRange:
     def test_empty_below_fundamental(self):
         p = PhysicalParams()
         roots = modes.scan_eigenfrequencies(
-            p, omega_max=0.99 * math.pi * C / (2.0 * p.cavity_length)
+            p.replace(omega_max=0.99 * math.pi * C / (2.0 * p.cavity_length))
         )
         assert roots.size == 0
 
@@ -187,7 +186,7 @@ class TestNormalization:
     )
     def test_norm_includes_delta_terms(self, eta, omega_hi):
         p = PhysicalParams(plane_strength=eta, cavity_length=1.2e-3)
-        omega = modes.scan_eigenfrequencies(p, omega_max=omega_hi)
+        omega = modes.scan_eigenfrequencies(p.replace(omega_max=omega_hi))
         assert omega.size > 0
         assert np.max(modes.norm_residuals(omega, p)) < 1e-10
 
@@ -227,7 +226,7 @@ class TestWithPlanes:
         best = idx[np.argmax(full_table.gamma_conf[idx])]
         assert full_table.m_peak[best] == 6
         assert full_table.k_assigned[best] == pytest.approx(
-            math.pi / full_table.plane_spacing
+            math.pi / full_table.params.plane_spacing
         )
 
     @pytest.mark.parametrize("factor", [0.25, 1.0, 4.0])
@@ -261,52 +260,74 @@ def test_census_is_the_sturm_spectrum(full_params, scale, factor):
 
 
 class TestModeTable:
-    def test_save_load_roundtrip(self, reduced_table, tmp_path):
+    def test_save_load_roundtrip(self, reduced_table, reduced_params, tmp_path):
         path = tmp_path / "table.npz"
         reduced_table.save(path)
-        back = modes.ModeTable.load(path)
+        back = modes.ModeTable.load(path, reduced_params)
         assert np.array_equal(back.omega, reduced_table.omega)
         assert np.array_equal(back.gamma_conf, reduced_table.gamma_conf)
         assert np.array_equal(back.m_peak, reduced_table.m_peak)
-        assert back.plane_strength == reduced_table.plane_strength
-        assert back.n_planes == reduced_table.n_planes
-        assert back.census_version == modes.CENSUS_VERSION
+        assert back.params.plane_strength == reduced_table.params.plane_strength
+        assert back.params.n_planes == reduced_table.params.n_planes
+        with np.load(path) as data:
+            assert int(data["census_version"]) == modes.CENSUS_VERSION
+            assert np.array_equal(data["geometry"], reduced_params.census_geometry())
 
-    def test_matches_params(self, reduced_table, reduced_params, full_params):
-        assert reduced_table.matches(reduced_params)
-        assert not reduced_table.matches(full_params)
-        stale = dataclasses.replace(reduced_table, census_version=modes.CENSUS_VERSION - 1)
-        assert not stale.matches(reduced_params)
+    def test_load_checks_version_and_geometry(
+        self, reduced_table, reduced_params, full_params, tmp_path
+    ):
+        path = tmp_path / "table.npz"
+        reduced_table.save(path)
+        assert modes.ModeTable.load(path, reduced_params) is not None
+        assert modes.ModeTable.load(path, full_params) is None
+        # parameters outside the census geometry do not matter
+        hot = reduced_params.replace(temperature=650.0)
+        assert modes.ModeTable.load(path, hot).params is hot
+        with np.load(path) as data:
+            columns = dict(data)
+        columns["census_version"] = modes.CENSUS_VERSION - 1
+        np.savez_compressed(path, **columns)
+        assert modes.ModeTable.load(path, reduced_params) is None
 
     def test_old_layout_cache_is_solved_again(self, reduced_table, reduced_params, tmp_path):
         # censuses saved by earlier formats, each with a wrong m_peak standing
-        # in for its stale values: unversioned with init_slope, and version 2
-        # with the derived k_assigned and is_crystal columns stored
+        # in for its stale values: unversioned with init_slope, version 2
+        # with the derived k_assigned and is_crystal columns stored, and
+        # version 3 with n_planes in its 6-entry geometry
         path = tmp_path / "cache" / f"modes-{reduced_params.mode_cache_key()}.npz"
         path.parent.mkdir()
-        t = reduced_table
+        t, p = reduced_table, reduced_params
         geometry = np.array(
             [
-                t.plane_strength,
-                t.cavity_length,
-                t.crystal_length,
-                t.plane_spacing,
-                float(t.n_planes),
-                t.omega_max,
+                p.plane_strength,
+                p.cavity_length,
+                p.crystal_length,
+                p.plane_spacing,
+                float(p.n_planes),
+                p.omega_max,
             ]
         )
         columns = dict(
-            omega=t.omega,
-            gamma_conf=t.gamma_conf,
-            m_peak=t.m_peak - 1,
-            k_assigned=t.k_assigned,
-            is_crystal=t.is_crystal,
-            geometry=geometry,
+            omega=t.omega, gamma_conf=t.gamma_conf, m_peak=t.m_peak - 1, geometry=geometry
         )
-        for extra in (dict(init_slope=np.ones(t.n_modes)), dict(census_version=2)):
+        derived = dict(k_assigned=t.k_assigned, is_crystal=t.is_crystal)
+        layouts = (
+            dict(derived, init_slope=np.ones(t.n_modes)),
+            dict(derived, census_version=2),
+            dict(census_version=3),
+        )
+        for extra in layouts:
             np.savez_compressed(path, **columns, **extra)
-            assert not modes.ModeTable.load(path).matches(reduced_params)
-            table, from_cache = pipeline.load_or_solve_modes(reduced_params, tmp_path)
+            assert modes.ModeTable.load(path, p) is None
+            table, from_cache = pipeline.load_or_solve_modes(p, tmp_path)
             assert not from_cache
             assert np.array_equal(table.m_peak, t.m_peak)
-            assert modes.ModeTable.load(path).matches(reduced_params)
+            assert modes.ModeTable.load(path, p) is not None
+            table, from_cache = pipeline.load_or_solve_modes(p, tmp_path)
+            assert from_cache
+            assert np.array_equal(table.m_peak, t.m_peak)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_cache_file_names_are_stable(self, name):
+        assert preset(name).mode_cache_key() == "5da066dc076a"
+        assert apply_scale(preset(name), "reduced").mode_cache_key() == "305fb51ccf60"

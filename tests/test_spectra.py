@@ -11,6 +11,7 @@ import pytest
 from photherm import spectra, steady
 from photherm.constants import BOLTZMANN, HBAR
 from photherm.modes import ModeTable
+from photherm.params import PhysicalParams
 
 KT_OVER_HBAR_400 = BOLTZMANN * 400.0 / HBAR
 
@@ -19,17 +20,14 @@ def toy(omega, gamma):
     omega = np.asarray(omega, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     n = omega.size
-    return ModeTable(
-        omega=omega,
-        gamma_conf=gamma,
-        m_peak=np.arange(n),
+    geometry = PhysicalParams(
         plane_strength=0.0,
         cavity_length=1.0,
-        crystal_length=0.1,
         plane_spacing=0.01,
         n_planes=12,
         omega_max=float(omega[-1] * 1.1) if n else 1.0,
     )
+    return ModeTable(omega=omega, gamma_conf=gamma, m_peak=np.arange(n), params=geometry)
 
 
 class TestSpectrumType:
