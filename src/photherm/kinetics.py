@@ -11,19 +11,23 @@ the Lorentzian overlap L_nk = [1 + (omega_n - Omega_k)^2/gamma^2]^-1:
 g_p = N_j g_a exactly, which makes the interaction part of
 sum_k N_k + N_j sum_n n_e a conserved quantity.
 
-One kernel serves rhs and affine_coefficients: rhs = a * y + b with
-a = a0 + a1 * s, b = b0 + b1 * s and s = [W N ; n W], two BLAS products.
-One more kernel, ShiftedLU, factors sigma*I - c*J for the Newton step of
-the steady solver (sigma = 0) and the BDF iterations of the time stepper
-(sigma = 1) through the Schur complement of the photon block, with W
-replaced by its range basis Q B; only that Newton matrix is approximate, so
-residuals and error estimates still see the exact W.  Both kernels go
-through BLAS and LAPACK, whose results depend on the thread count in the
-last bits: output is bit-reproducible only at a fixed thread count.
+The tables hold W only as its range basis, W = Q B within RANGE_RTOL (Q
+orthonormal, n_freqs x r), and every kernel couples through it: rhs and
+affine_coefficients (rhs = a * y + b with a = a0 + a1 * s, b = b0 + b1 * s
+and s = [Q (B N) ; (n Q) B]), the photon fixed point, and ShiftedLU, which
+factors sigma*I - c*J for the Newton step of the steady solver (sigma = 0)
+and the BDF iterations of the time stepper (sigma = 1) through the Schur
+complement of the photon block.  The row and column sums of W come from
+Q B too, so the conserved count is exact for the matrix the kernels use.
+The dense W is never held by a kernel: exact_rhs streams it in row blocks
+to certify a steady state once.  Every kernel goes through BLAS and
+LAPACK, whose results depend on the thread count in the last bits: output
+is bit-reproducible only at a fixed thread count.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,24 +37,30 @@ from . import atoms
 from .params import PhysicalParams
 
 RANGE_RTOL, RANGE_RANK, RANGE_PROBES, RANGE_SEED = 1e-13, 64, 10, 2011  # _range_basis
+BLOCK_ROWS = 64  # atom frequencies per row block of L or W
 
 
 @dataclass
 class CouplingTables:
-    """Precomputed atom-mode coupling weights plus the bath functions.
+    """Atom-mode coupling weights through their range basis, plus the bath
+    functions.
 
-    W has shape (n_atom_freqs, n_modes). fermi and pump are the
-    equilibrium and pumping rates on the atom grid; rates and coupling
-    constants are copied out of params so the rhs needs no other context.
-    a0, a1, b0 and b1 (the packed rhs constants, see the module docstring)
-    and the range basis Q, B = Q^T W are derived from the other fields.
+    W = L diag(omega_modes * gamma_conf), shape (n_atom_freqs, n_modes), is
+    kept as Q (n_freqs x r, orthonormal columns) and B (r x n_modes), built
+    by build_tables, with w_max = max W.  fermi and pump are the equilibrium
+    and pumping rates on the atom grid; rates and coupling constants are
+    copied out of params so the rhs needs no other context.  W_colsum and
+    a0, a1, b0, b1 (the packed rhs constants, see the module docstring) are
+    derived from the other fields.
     """
 
     omega_atoms: np.ndarray
     omega_modes: np.ndarray
     gamma_conf: np.ndarray
-    W: np.ndarray
-    W_colsum: np.ndarray = field(repr=False)
+    dephasing_rate: float
+    Q: np.ndarray = field(repr=False)
+    B: np.ndarray = field(repr=False)
+    w_max: float
     fermi: np.ndarray = field(repr=False)
     pump: np.ndarray = field(repr=False)
     g_atom: float = 0.0
@@ -58,24 +68,19 @@ class CouplingTables:
     gamma_r: float = 0.0
     gamma_c: float = 0.0
     atoms_per_site: int = 1
+    W_colsum: np.ndarray = field(init=False, repr=False)
     a0: np.ndarray = field(init=False, repr=False)
     a1: np.ndarray = field(init=False, repr=False)
     b0: np.ndarray = field(init=False, repr=False)
     b1: np.ndarray = field(init=False, repr=False)
-    Q: np.ndarray = field(init=False, repr=False)
-    B: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         nf, nm = self.n_freqs, self.n_modes
-        rowsum = np.einsum("nk->n", self.W, optimize=False)
-        self.a0 = self.pack(
-            -self.g_atom * rowsum - self.gamma_r - self.pump,
-            -self.g_photon * self.W_colsum - self.gamma_c,
-        )
+        self.W_colsum = self.Q.sum(axis=0) @ self.B
+        self.a0 = self.rate_constant(self.Q @ self.B.sum(axis=1), self.W_colsum)
         self.b0 = self.pack(self.gamma_r * self.fermi + self.pump, np.zeros(nm))
         self.b1 = self.pack(np.full(nf, self.g_atom), np.full(nm, self.g_photon))
         self.a1 = self.b1 * self.pack(np.full(nf, -2.0), np.full(nm, 2.0))
-        self.Q, self.B = _range_basis(self.W)
 
     @property
     def n_freqs(self) -> int:
@@ -91,23 +96,101 @@ class CouplingTables:
     def pack(self, n_e: np.ndarray, photons: np.ndarray) -> np.ndarray:
         return np.concatenate([np.asarray(n_e, float), np.asarray(photons, float)])
 
+    def rate_constant(self, rowsum: np.ndarray, colsum: np.ndarray) -> np.ndarray:
+        """a0 for a coupling matrix with these row and column sums."""
+        return self.pack(
+            -self.g_atom * rowsum - self.gamma_r - self.pump,
+            -self.g_photon * colsum - self.gamma_c,
+        )
 
-def _range_basis(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Q, Q^T W), Q orthonormal, by Halko, Martinsson & Tropp's seeded range
-    finder (SIAM Rev. 53, 2011, Alg. 4.2): rank k doubles from RANGE_RANK until
-    RANGE_PROBES fresh probes bound |W - Q Q^T W| by RANGE_RTOL |W|_F (eq. 4.3);
-    once k + RANGE_PROBES exceeds n_freqs, the exact Q = I, B = W."""
-    n, k, rng = W.shape[0], RANGE_RANK, np.random.default_rng(RANGE_SEED)
-    tol = RANGE_RTOL * np.linalg.norm(W) / (10.0 * np.sqrt(2.0 / np.pi))
+    def row_blocks(self):
+        """(rows, W[rows]) over blocks of BLOCK_ROWS atom frequencies, each
+        valid until the next is drawn."""
+        return _row_blocks(
+            self.omega_atoms,
+            self.omega_modes,
+            self.dephasing_rate,
+            self.omega_modes * self.gamma_conf,
+        )
+
+    @functools.cached_property
+    def W(self) -> np.ndarray:
+        """The dense W, assembled from row_blocks on first access; no kernel
+        reads it."""
+        return _assemble(self.row_blocks(), (self.n_freqs, self.n_modes))
+
+
+def _row_blocks(omega_atoms, omega_modes, dephasing_rate, weights=None):
+    """(rows, L[rows]) over blocks of BLOCK_ROWS atom frequencies, or
+    (rows, W[rows]) with W = L diag(weights) when weights are given; every
+    entry is the one a whole-table build computes.  All blocks share one
+    buffer, so a block is valid only until the next one is drawn."""
+    n = omega_atoms.size
+    buf = np.empty((min(BLOCK_ROWS, n), omega_modes.size))
+    for start in range(0, n, BLOCK_ROWS):
+        rows = slice(start, min(start + BLOCK_ROWS, n))
+        block = buf[: rows.stop - start]
+        # L = 1 / (1 + ((om_a - om_m) / dephasing)^2), built in place
+        np.subtract.outer(omega_atoms[rows], omega_modes, out=block)
+        block /= dephasing_rate
+        np.square(block, out=block)
+        block += 1.0
+        np.divide(1.0, block, out=block)
+        if weights is not None:
+            block *= weights
+        yield rows, block
+
+
+def _assemble(blocks, shape: tuple[int, int]) -> np.ndarray:
+    out = np.empty(shape)
+    for rows, block in blocks:
+        out[rows] = block
+    return out
+
+
+def _sketch(blocks, n: int, probes: np.ndarray) -> tuple[np.ndarray, float]:
+    """(L @ probes, |L|_F^2) in one pass over the row blocks of L's n rows."""
+    out, sq = np.empty((n, probes.shape[1])), 0.0
+    for rows, L in blocks:
+        np.matmul(L, probes, out=out[rows])
+        sq += float(np.vdot(L, L))
+    return out, sq
+
+
+def _range_basis(omega_atoms, omega_modes, dephasing_rate, weights):
+    """(Q, B, max W) with W = L diag(weights) = Q B within RANGE_RTOL.
+
+    Q is orthonormal, from Halko, Martinsson & Tropp's seeded range finder
+    (SIAM Rev. 53, 2011, Alg. 4.2) run on the unscaled Lorentzian L, whose
+    columns are all of order one, and B = (Q^T L) diag(weights): the weakly
+    confined modes (small weights) keep their relative accuracy.  Rank k
+    doubles from RANGE_RANK until RANGE_PROBES fresh probes bound
+    |L - Q Q^T L| by RANGE_RTOL |L|_F (eq. 4.3); once k + RANGE_PROBES
+    exceeds n_freqs, the exact Q = I, B = W.  L is streamed in row blocks,
+    one pass per sketch and one for B, so neither L nor W is held whole.
+    """
+    n, m = omega_atoms.size, omega_modes.size
+    blocks = functools.partial(_row_blocks, omega_atoms, omega_modes, dephasing_rate)
+    k, rng = RANGE_RANK, np.random.default_rng(RANGE_SEED)
     Y = np.empty((n, 0))
     while k + RANGE_PROBES <= n:  # each doubling reuses the probes drawn so far
-        probes = rng.standard_normal((W.shape[1], k + RANGE_PROBES - Y.shape[1]))
-        Y = np.hstack([Y, W @ probes])
+        # the probes and the block buffer are freed before the pass for B
+        draws = (m, k + RANGE_PROBES - Y.shape[1])
+        sketch, sq = _sketch(blocks(), n, rng.standard_normal(draws))
+        Y = np.hstack([Y, sketch])
         Q = np.linalg.qr(Y[:, :k])[0]
+        tol = RANGE_RTOL * np.sqrt(sq) / (10.0 * np.sqrt(2.0 / np.pi))
         if np.linalg.norm(Y[:, k:] - Q @ (Q.T @ Y[:, k:]), axis=0).max() <= tol:
-            return Q, Q.T @ W
+            B, colmax = np.zeros((k, m)), np.zeros(m)
+            for rows, L in blocks():
+                B += Q[rows].T @ L
+                np.maximum(colmax, L.max(axis=0), out=colmax)
+            B *= weights
+            # rounding is monotone, so max_n fl(L_nk w_k) = fl(max_n L_nk w_k)
+            return Q, B, float((colmax * weights).max())
         k *= 2
-    return np.eye(n), W
+    W = _assemble(blocks(weights), (n, m))
+    return np.eye(n), W, float(W.max())
 
 
 def build_tables(
@@ -116,26 +199,21 @@ def build_tables(
     omega_atoms: np.ndarray,
     params: PhysicalParams,
 ) -> CouplingTables:
-    """Dense Lorentzian overlap tables."""
+    """Lorentzian coupling tables through their range basis."""
     om_a = np.asarray(omega_atoms, dtype=float)
     om_m = np.asarray(omega_modes, dtype=float)
     gam = np.asarray(gamma_modes, dtype=float)
     if om_m.size == 0 or om_a.size == 0:
         raise ValueError("empty mode set or atom grid")
-
-    # W = (om_m * gam) / (1 + ((om_a - om_m) / dephasing)^2), built in place
-    W = np.subtract.outer(om_a, om_m)
-    W /= params.dephasing_rate
-    np.square(W, out=W)
-    W += 1.0
-    np.divide(1.0, W, out=W)
-    W *= om_m * gam
+    Q, B, w_max = _range_basis(om_a, om_m, params.dephasing_rate, om_m * gam)
     return CouplingTables(
         omega_atoms=om_a,
         omega_modes=om_m,
         gamma_conf=gam,
-        W=W,
-        W_colsum=np.einsum("nk->k", W, optimize=False),
+        dephasing_rate=params.dephasing_rate,
+        Q=Q,
+        B=B,
+        w_max=w_max,
         fermi=atoms.fermi_dirac(om_a, params.temperature),
         pump=atoms.pump_rate(om_a, params.temperature, params),
         g_atom=params.g_atom,
@@ -147,9 +225,9 @@ def build_tables(
 
 
 def _coefficients(y: np.ndarray, tables: CouplingTables) -> tuple[np.ndarray, np.ndarray]:
-    s, nf = np.empty_like(tables.a0), tables.n_freqs
-    np.matmul(tables.W, y[nf:], out=s[:nf])  # sum_k W_nk N_k
-    np.matmul(y[:nf], tables.W, out=s[nf:])  # sum_n n_e W_nk
+    s, nf, Q, B = np.empty_like(tables.a0), tables.n_freqs, tables.Q, tables.B
+    np.matmul(Q, B @ y[nf:], out=s[:nf])  # sum_k W_nk N_k
+    np.matmul(y[:nf] @ Q, B, out=s[nf:])  # sum_n n_e W_nk
     return tables.a0 + tables.a1 * s, tables.b0 + tables.b1 * s
 
 
@@ -173,6 +251,22 @@ def affine_coefficients(
     return _coefficients(y, tables)
 
 
+def exact_rhs(y: np.ndarray, tables: CouplingTables) -> np.ndarray:
+    """rhs with the exact W and its exact row and column sums in place of
+    the range basis Q B, streamed in row blocks so that the dense W is never
+    held: it certifies a state that the Q B kernels found."""
+    nf = tables.n_freqs
+    n, N = tables.split(y)
+    s, rowsum, colsum = np.zeros_like(y), np.empty(nf), np.zeros(tables.n_modes)
+    for rows, W in tables.row_blocks():
+        s[rows] = W @ N
+        s[nf:] += n[rows] @ W
+        rowsum[rows] = W.sum(axis=1)
+        colsum += W.sum(axis=0)
+    a = tables.rate_constant(rowsum, colsum) + tables.a1 * s
+    return a * y + tables.b0 + tables.b1 * s
+
+
 def total_excitation(y: np.ndarray, tables: CouplingTables) -> float:
     """Conserved count sum_k N_k + N_j sum_n n_e (exact when loss-free)."""
     n, N = tables.split(y)
@@ -186,7 +280,7 @@ def quasi_steady_photon(n_e: np.ndarray, tables: CouplingTables) -> np.ndarray:
     must stay positive - otherwise stimulated gain beats the losses and that
     mode has no steady state at these populations.
     """
-    proj = np.asarray(n_e, dtype=float) @ tables.W
+    proj = (np.asarray(n_e, dtype=float) @ tables.Q) @ tables.B
     denom = tables.gamma_c + tables.g_photon * (tables.W_colsum - 2.0 * proj)
     if np.any(denom <= 0.0):
         raise ValueError("non-positive denominator: inverted gain, no fixed point")
@@ -202,11 +296,9 @@ class ShiftedLU:
     n_freqs x n_freqs Schur complement
         S = diag(sigma - c*a_e) - diag(c e) W diag(g) W^T,  g = c q / d
     (Golub & Van Loan, Matrix Computations, sec. 3.2), factored once by
-    LAPACK with W replaced by the tables' range basis Q B, within RANGE_RTOL:
-    W diag(g) W^T becomes Q (B diag(g) B^T) Q^T, and each solve is four thin
-    gemv calls and one triangular pair.  Callers check every step against
-    the exact rhs, so the basis sets how fast Newton and BDF converge, not
-    where they converge to.  Newton on rhs = 0 uses sigma = 0, c = -1
+    LAPACK with W = Q B, the coupling every kernel uses: W diag(g) W^T
+    becomes Q (B diag(g) B^T) Q^T, and each solve is four thin gemv calls
+    and one triangular pair.  Newton on rhs = 0 uses sigma = 0, c = -1
     (M = J); a BDF iteration uses sigma = 1.
     """
 

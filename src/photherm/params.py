@@ -274,7 +274,9 @@ def build_params(
     scale: str = "full",
 ) -> PhysicalParams:
     """Assemble parameters from preset, config file, and overrides (in that
-    order of increasing precedence), then apply the scale."""
+    order of increasing precedence), then apply the scale, which only the
+    `scale` argument sets: a `scale` key in the config or the overrides
+    raises ValueError."""
     base: dict = {}
     if preset_name is not None:
         base.update(_preset_values(preset_name))
@@ -284,6 +286,7 @@ def build_params(
             raise ValueError("config file must hold a JSON object")
         base.update(file_data)
     base.update(parse_override(text) for text in overrides or ())
-    base.pop("scale", None)
+    if "scale" in base:
+        raise ValueError("scale is not a --config or --param key; use --scale")
     params = PhysicalParams.from_dict(base)
     return apply_scale(params, scale)

@@ -80,12 +80,22 @@ class TestPipeline:
         assert m["preset"] == "eq-strong" and m["scale"] == "reduced"
         assert m["metrics"]["steady"]["converged"] is True
         dyn = m["metrics"]["dynamics"]
-        # the Newton matrix's range basis of W, certified at rank 64 of 100
+        # the coupling's range basis of W, certified at rank 64 of 100
         assert m["metrics"]["steady"]["range_rank"] == dyn["range_rank"] == 64
         assert dyn["accepted_steps"] > 0
         assert 0.0 < dyn["min_step"] <= dyn["max_step"] <= 1e-12
         for stage in m["stages"]:
             assert m["outputs"][stage], stage
+
+    def test_manifest_steady_residuals(self, pipe_dir):
+        m = json.loads((pipe_dir / "run-manifest.json").read_text())
+        steady = m["metrics"]["steady"]
+        history = steady["history"]
+        assert len(history) == steady["newton"] + 1
+        assert all(b < a for a, b in zip(history, history[1:]))
+        assert history[-1] == steady["residual_norm"]
+        # the exact-W residual certifies the state against the default tol
+        assert 0.0 < steady["residual_exact"] < 1e-10
 
     def test_modes_csv_schema(self, pipe_dir):
         _, cols = read_csv(pipe_dir / "modes.csv")
@@ -278,10 +288,25 @@ class TestSingleCommands:
         steady = json.loads((tmp_path / "run-manifest.json").read_text())["metrics"]["steady"]
         assert steady["converged"] is False
         assert 0.0 < steady["residual_norm"] < 1e-10
+        assert 0.0 < steady["residual_exact"] < 1e-10
+        assert steady["history"][-1] == steady["residual_norm"]
         # the earlier run's state is gone, so spectrum cannot pick it up
         assert main(["spectrum", "--out-dir", str(tmp_path), "--preset", "eq-strong",
                      "--scale", "reduced"]) == 1
         assert "no input state" in capsys.readouterr().err
+
+    def test_exact_residual_above_tol_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a state converged through Q B whose exact-W residual misses tol
+        monkeypatch.setattr("photherm.steady.exact_residual", lambda y, tables: 1.0)
+        code = main(["steady", "--out-dir", str(tmp_path), "--preset", "eq-strong",
+                     "--scale", "reduced"])
+        assert code == 1
+        assert "(exact W: 1.000e+00)" in capsys.readouterr().err
+        assert not list(tmp_path.glob("steady-*.csv"))
+        assert (tmp_path / "unconverged-state.csv").exists()
+        m = json.loads((tmp_path / "run-manifest.json").read_text())["metrics"]["steady"]
+        assert m["converged"] is False and m["residual_norm"] < 1e-10
+        assert m["residual_exact"] == 1.0
 
     def test_inverted_gain_seed_exits_1(self, pipe_dir, tmp_path, capsys):
         # every occupation above 1/2: stimulated gain beats the losses, so the
@@ -332,6 +357,23 @@ class TestArgumentHandling:
         assert code == 0
         m = json.loads((tmp_path / "run-manifest.json").read_text())
         assert m["params"]["temperature"] == 650.0
+
+    def test_scale_param_exits_2(self, tmp_path, capsys):
+        code = main(["modes", "--out-dir", str(tmp_path), "--param", "scale=reduced"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad parameters" in err and "--scale" in err
+        assert not (tmp_path / "modes.csv").exists()
+
+    def test_scale_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"temperature": 500.0, "scale": "full"}))
+        code = main(["modes", "--out-dir", str(tmp_path), "--scale", "reduced",
+                     "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad parameters" in err and "--scale" in err
+        assert not (tmp_path / "modes.csv").exists()
 
     def test_bad_param_value_exits_with_message(self, tmp_path, capsys):
         code = main(["modes", "--out-dir", str(tmp_path), "--param", "temperature=-4"])

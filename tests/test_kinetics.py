@@ -7,12 +7,14 @@ excitation count whose interaction part cancels because g_p = N_j * g_a.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from photherm import atoms, kinetics
+from photherm import atoms, kinetics, steady
+from photherm.integrate import integrate
 from photherm.params import PhysicalParams, preset
 
 # Planck occupation at Omega = 9.43e13 rad/s, T = 400 K (hand-checked value)
@@ -305,7 +307,10 @@ class TestRangeBasis:
     def check_basis(t, rank):
         assert t.Q.shape == (t.n_freqs, rank) and t.B.shape == (rank, t.n_modes)
         assert np.abs(t.Q.T @ t.Q - np.eye(rank)).max() <= 1e-14
-        assert np.array_equal(t.B, t.Q.T @ t.W)
+        # B = (Q^T L) diag(Omega Gamma), Q^T L summed over L's row blocks
+        blocks = kinetics._row_blocks(t.omega_atoms, t.omega_modes, t.dephasing_rate)
+        QtL = sum(t.Q[rows].T @ L for rows, L in blocks)
+        assert np.array_equal(t.B, QtL * (t.omega_modes * t.gamma_conf))
         err = np.linalg.norm(t.W - t.Q @ t.B)
         assert err <= kinetics.RANGE_RTOL * np.linalg.norm(t.W)
 
@@ -321,8 +326,58 @@ class TestRangeBasis:
 
     def test_full_rank_w_gets_exact_basis(self, full_rank_tables):
         t = full_rank_tables
-        assert np.array_equal(t.Q, np.eye(t.n_freqs)) and t.B is t.W
+        assert np.array_equal(t.Q, np.eye(t.n_freqs)) and np.array_equal(t.B, t.W)
         assert t.n_freqs == 100
+
+    def test_columns_accurate_at_full_scale(self, full_tables):
+        # the basis is found on the unscaled Lorentzian, so the weakly
+        # confined modes (small Omega Gamma) keep their relative accuracy
+        t = full_tables
+        err = np.linalg.norm(t.Q @ t.B - t.W, axis=0)
+        assert np.all(err <= 1e-13 * np.linalg.norm(t.W, axis=0))
+
+    def test_blocks_assemble_whole_table_w(self, full_tables, full_params):
+        t = full_tables
+        W = np.subtract.outer(t.omega_atoms, t.omega_modes)
+        W /= full_params.dephasing_rate
+        np.square(W, out=W)
+        W += 1.0
+        np.divide(1.0, W, out=W)
+        W *= t.omega_modes * t.gamma_conf
+        assert np.array_equal(t.W, W)
+        assert t.w_max == W.max()
+
+    def test_build_holds_no_dense_table(self, full_table, full_params):
+        grid = atoms.build_grid(full_params)
+        tracemalloc.start()
+        try:
+            t = kinetics.build_tables(
+                full_table.omega, full_table.gamma_conf, grid, full_params
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * t.n_freqs * t.n_modes * 8
+
+    def test_kernels_never_build_w(self, reduced_table, reduced_params):
+        grid = atoms.build_grid(reduced_params)
+        t = kinetics.build_tables(
+            reduced_table.omega, reduced_table.gamma_conf, grid, reduced_params
+        )
+        result = steady.solve_steady(steady.seed_guess(t), t)
+        assert steady.exact_residual(result.state, t) < 1e-10
+        assert "W" not in vars(t)
+        integrate(np.zeros(t.n_freqs + t.n_modes), 1e-14, t, rtol=1e-3)
+        assert "W" not in vars(t)
+
+    @pytest.mark.parametrize("name", ["reduced_tables", "full_tables"])
+    def test_exact_rhs_uses_dense_w(self, name, request):
+        t = request.getfixturevalue(name)
+        exact = dataclasses.replace(t, Q=np.eye(t.n_freqs), B=t.W)
+        y = shifted_lu_state("inverted", t)
+        ref = kinetics.rhs(y, exact)
+        err = np.abs(kinetics.exact_rhs(y, t) - ref).max()
+        assert err <= 1e-13 * np.abs(ref).max()
 
 
 class TestShiftedLU:
