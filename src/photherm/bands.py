@@ -10,8 +10,8 @@ Bragg frequencies m*pi*c/l_p, and for eta > 0 |T| - 1 changes sign exactly
 once inside each period ((m-1)*pi, m*pi) of theta, from the band below to
 the gap just under the Bragg frequency (Kronig & Penney, Proc. R. Soc. A
 130, 499, 1931). So the m-th gap is [lower edge, m*pi*c/l_p], and all lower
-edges are bisected together by `modes.bisect_brackets`, the loop the census
-uses. Finite-cavity gap intervals are anchored to these analytic gaps and
+edges are refined together on |T| - 1 by `modes.refine_roots`, the loop the
+census uses. Finite-cavity gap intervals are anchored to these analytic gaps and
 widened to the maximal interval free of crystal-class mode frequencies, so
 the reported intervals satisfy both the no-crystal-mode invariant and the
 analytic band picture. Trailing gaps are clipped at the mode-table cutoff;
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT as C
-from .modes import ModeTable, bisect_brackets
+from .modes import ModeTable, refine_roots
 
 # Reported gaps must beat this multiple of the empty-cavity mode spacing.
 MIN_GAP_SPACING_FACTOR = 3.0
@@ -62,17 +62,18 @@ def analytic_gaps(eta: float, l_p: float, omega_max: float) -> np.ndarray:
 
     The m-th gap ends at the Bragg frequency m*pi*c/l_p, clipped at
     omega_max; its lower edge is the one sign change of |T| - 1 inside
-    ((m-1)*pi, m*pi)*c/l_p, bisected to ROOT_RTOL. A period whose lower
-    edge reaches omega_max, or whose interval holds no |T| > 1 at its
-    midpoint (eta = 0, or a gap narrower than the bisection resolves), holds
-    no gap.
+    ((m-1)*pi, m*pi)*c/l_p, refined to ROOT_RTOL. |T| - 1 vanishes at both
+    ends of the period, so the refinement starts with unknown end values. A
+    period whose lower edge reaches omega_max, or whose interval holds no
+    |T| > 1 at its midpoint (eta = 0, or a gap narrower than the refinement
+    resolves), holds no gap.
     """
     period = math.pi * C / l_p
     bragg = period * np.arange(1, math.ceil(omega_max / period) + 1)
-    in_gap = lambda om: np.abs(dispersion_trace(om, eta, l_p)) > 1.0
-    lower = bisect_brackets(bragg - period, bragg, lambda mid, i: in_gap(mid))
+    excess = lambda om, _=None: np.abs(dispersion_trace(om, eta, l_p)) - 1.0
+    lower, _ = refine_roots(bragg - period, bragg, excess)
     upper = np.minimum(bragg, omega_max)
-    keep = (lower < omega_max) & in_gap(0.5 * (lower + upper))
+    keep = (lower < omega_max) & (excess(0.5 * (lower + upper)) > 0.0)
     return np.column_stack([lower[keep], upper[keep]])
 
 

@@ -22,9 +22,9 @@ from scipy.integrate import BDF
 from scipy.sparse import csc_matrix
 
 from .kinetics import CouplingTables, ShiftedLU, affine_coefficients
+from .params import POINTS_PER_DECADE
 
 T_FLOOR = 1e-16  # earliest log-grid time, s
-POINTS_PER_DECADE = 60
 TOL_SCALE = 0.4
 
 

@@ -9,11 +9,12 @@ plane leaves u continuous and jumps the derivative:
 
 The working pair is (u, w) with w = u' / q, shot from z = 0 with
 (u, w) = (0, 1): free propagation is a pure rotation by q*d and a plane
-crossing is the shear w -> w - q*eta*u. Eigenfrequencies are found by
-Sturm-count bisection: the Pruefer phase of (u, w) at z = L gives the exact
-number of eigenfrequencies below any frequency (`count_below`), and every
-root is bisected on that count alone, all roots together
-(`scan_eigenfrequencies`, through the `bisect_brackets` loop that also finds
+crossing is the shear w -> w - q*eta*u. Eigenfrequencies come from the
+Pruefer phase Theta of (u, w) at z = L: floor(Theta/pi) is the exact number
+of eigenfrequencies below any frequency (`count_below`), and the k-th root
+is where Theta = k*pi. Every root is refined inside its Sturm-count bracket
+by safeguarded secant steps on Theta - k*pi, all roots together
+(`scan_eigenfrequencies`, through the `refine_roots` loop that also finds
 the band-gap edges in `bands`). The same phase, stopped just left of the
 last plane at L_c, gives the number of positive field maxima inside the stack
 in closed form (`count_peaks`). The normalization and the confinement
@@ -27,6 +28,7 @@ in `_pruefer_phase`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,7 +47,7 @@ ROOT_RTOL = 1e-12
 CLASS_RTOL = 1e-11
 # Format of a saved ModeTable; a file with another (or no) version is stale
 # and solved again. Raise it whenever a saved field changes layout or value.
-CENSUS_VERSION = 4
+CENSUS_VERSION = 5
 
 
 @dataclass
@@ -57,13 +59,15 @@ class ModeTable:
     Delta-plane terms enter the mode normalization but not this ratio.
     params are the parameters the table was solved or loaded for;
     k_assigned and is_crystal derive from the stored columns and their
-    geometry.
+    geometry. passes counts the root-refinement passes of a solve (None
+    when loaded).
     """
 
     omega: np.ndarray
     gamma_conf: np.ndarray
     m_peak: np.ndarray
     params: PhysicalParams
+    passes: int | None = None
 
     @property
     def n_modes(self) -> int:
@@ -105,7 +109,7 @@ class ModeTable:
 
 
 # ----------------------------------------------------------------------
-# census: Sturm count and bisection
+# census: Sturm count and root refinement
 # ----------------------------------------------------------------------
 
 
@@ -156,47 +160,61 @@ def count_below(omega, params: PhysicalParams) -> np.ndarray:
     return _pruefer_phase(q, params, params.cavity_length)[0]
 
 
-def scan_eigenfrequencies(params: PhysicalParams) -> np.ndarray:
-    """All eigenfrequencies in (0, params.omega_max], refined to ROOT_RTOL.
+def scan_eigenfrequencies(params: PhysicalParams) -> tuple[np.ndarray, int]:
+    """All eigenfrequencies in (0, params.omega_max] to ROOT_RTOL, and the passes taken.
 
-    The exact oscillation count on a scan grid (spacing SCAN_SPACING_FACTOR
-    times the empty-cavity mode spacing pi*c/L) numbers the roots and gives
-    the k-th root (1-based) the grid cell with count(lo) < k <= count(hi)
-    as its bracket. All brackets are then bisected together on the count
-    alone (`bisect_brackets`): the k-th root lies at or below mid exactly
-    when count_below(mid) >= k. Completeness does not rest on the grid, and
-    roots sharing a cell (near-degenerate pairs at band edges) separate as soon
-    as a midpoint falls between them.
+    The Pruefer phase Theta(L) = m*pi + rho on a scan grid (spacing
+    SCAN_SPACING_FACTOR times the empty-cavity mode spacing pi*c/L) numbers
+    the roots and gives the k-th root (1-based) the grid cell with
+    count(lo) < k <= count(hi) as its bracket. All brackets are then refined
+    together (`refine_roots`) on the increasing Theta(L) - k*pi =
+    (m - k)*pi + rho, which is >= 0 exactly when count_below >= k since the
+    count is m. Completeness does not rest on the grid, and roots sharing a
+    cell (near-degenerate pairs at band edges) refine on their own k.
     """
     step = SCAN_SPACING_FACTOR * math.pi * C / params.cavity_length
     edges = np.arange(0.0, params.omega_max + step, step)
     edges[-1] = params.omega_max
-    if edges.size < 2:
-        return np.empty(0)
-    counts = count_below(edges, params)
-    k = np.arange(1, counts[-1] + 1)
-    cell = np.searchsorted(counts, k) - 1
-    return bisect_brackets(
-        edges[cell], edges[cell + 1], lambda mid, i: count_below(mid, params) >= k[i]
-    )
+    phase = lambda om: _pruefer_phase(om / C, params, params.cavity_length)[:2]
+    past = lambda turns, res, k: (turns - k) * np.pi + res  # Theta(L) - k*pi
+    m, rho = phase(edges)
+    k = np.arange(1, m[-1] + 1)
+    cell = np.searchsorted(m, k) - 1
+    ends = [past(m[c], rho[c], k) for c in (cell, cell + 1)]
+    f = lambda om, i: past(*phase(om), k[i])
+    return refine_roots(edges[cell], edges[cell + 1], f, *ends)
 
 
-def bisect_brackets(lo, hi, at_or_below) -> np.ndarray:
-    """Midpoints of the one-root brackets [lo, hi], bisected together to ROOT_RTOL.
+def refine_roots(lo, hi, f, f_lo=np.nan, f_hi=np.nan) -> tuple[np.ndarray, int]:
+    """Midpoints of the one-root brackets [lo, hi] refined to ROOT_RTOL, and the passes.
 
-    Each pass calls at_or_below(mid, i) on the midpoints of the brackets i
-    still wider than ROOT_RTOL * hi; it returns True where that root lies at
-    or below mid, and the lower half is kept there, the upper half elsewhere.
+    Each pass calls f(x, i) at one x in each bracket i wider than ROOT_RTOL * hi;
+    the root lies at or below x exactly where f(x, i) >= 0. f_lo and f_hi are f
+    at the ends, NaN where unknown. x is the secant through the two latest
+    iterates, held ROOT_RTOL * hi / 2 inside both ends so that an iterate at the
+    root closes its bracket next pass, or the midpoint where the secant is
+    undefined, leaves the bracket, or steps no less than half the step two passes
+    earlier (Brent, Algorithms for Minimization without Derivatives, 1973, ch. 4).
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    while True:
-        wide = np.flatnonzero(hi - lo > ROOT_RTOL * hi)
-        if wide.size == 0:
-            return 0.5 * (lo + hi)
-        mid = 0.5 * (lo[wide] + hi[wide])
-        below = at_or_below(mid, wide)
-        hi[wide[below]] = mid[below]
-        lo[wide[~below]] = mid[~below]
+    xs = np.array([lo, hi])  # the two latest iterates, f there, the last two steps
+    fs = np.array(np.broadcast_arrays(f_lo, f_hi, lo)[:2], dtype=float)
+    steps = np.full(xs.shape, np.inf)
+    for passes in itertools.count():
+        w = np.flatnonzero(hi - lo > ROOT_RTOL * hi)
+        if w.size == 0:
+            return 0.5 * (lo + hi), passes
+        (x0, x1), (f0, f1), a, b = xs[:, w], fs[:, w], lo[w], hi[w]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = x1 - f1 * (x1 - x0) / (f1 - f0)
+        new = np.clip(s, a + 0.5 * ROOT_RTOL * b, b - 0.5 * ROOT_RTOL * b)
+        secant = (a <= s) & (s <= b) & (np.abs(new - x1) < 0.5 * steps[0, w])
+        new = np.where(secant, new, 0.5 * (a + b))
+        f_new = f(new, w)
+        xs[:, w], fs[:, w] = (x1, new), (f1, f_new)
+        steps[:, w] = steps[1, w], abs(new - x1)
+        up = f_new >= 0.0
+        hi[w[up]], lo[w[~up]] = new[up], new[~up]
 
 
 # ----------------------------------------------------------------------
@@ -266,11 +284,11 @@ def count_peaks(omega: np.ndarray, params: PhysicalParams) -> np.ndarray:
 
 def solve_modes(params: PhysicalParams) -> ModeTable:
     """Find, normalize, and classify every eigenmode up to params.omega_max."""
-    omega = scan_eigenfrequencies(params)
+    omega, passes = scan_eigenfrequencies(params)
     if omega.size == 0:
         raise ValueError("no eigenmodes found below omega_max")
 
     _, seg = normalize_modes(omega, params)
     n_inside = params.n_planes  # regions [0, z_1], ..., [z_{n-1}, L_c]
     gamma_conf = seg[:, :n_inside].sum(axis=1) / seg.sum(axis=1)
-    return ModeTable(omega, gamma_conf, count_peaks(omega, params), params)
+    return ModeTable(omega, gamma_conf, count_peaks(omega, params), params, passes)

@@ -25,8 +25,7 @@ import numpy as np
 from . import atoms, bands, kinetics, modes, spectra, steady
 from ._version import __version__
 from .csvio import read_csv, write_csv
-from .integrate import POINTS_PER_DECADE, integrate
-from .params import PhysicalParams
+from .params import POINTS_PER_DECADE, PhysicalParams
 
 MANIFEST_NAME = "run-manifest.json"
 STAGE_ORDER = ("modes", "bands", "dynamics", "steady", "spectrum")
@@ -97,7 +96,9 @@ class RunContext:
     def get_modes(self) -> modes.ModeTable:
         if self.mode_table is None:
             self.mode_table, from_cache = load_or_solve_modes(self.params, self.out_dir)
-            self.manifest.metrics.setdefault("modes", {})["cache_hit"] = from_cache
+            self.manifest.metrics.setdefault("modes", {}).update(
+                cache_hit=from_cache, refine_passes=self.mode_table.passes
+            )
         return self.mode_table
 
     def get_tables(self) -> kinetics.CouplingTables:
@@ -216,6 +217,8 @@ def _probe_indices(ctx: RunContext) -> tuple[list[int], list[int]]:
 
 
 def stage_dynamics(ctx: RunContext) -> list[Path]:
+    from .integrate import integrate  # scipy.integrate loads with the first dynamics run
+
     t = ctx.get_tables()
     t_end = float(ctx.option("t_end"))
     rtol = float(ctx.option("rtol"))

@@ -6,6 +6,7 @@ comparing every data file byte for byte (the manifest is excluded: its
 wall-clock metrics legitimately vary).
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -16,10 +17,10 @@ import numpy as np
 import pytest
 
 import photherm
-from photherm import __version__, kinetics
+from photherm import __version__, kinetics, modes
 from photherm.cli import build_parser, main
 from photherm.csvio import read_csv, write_csv
-from photherm.params import preset
+from photherm.params import apply_scale, preset
 
 FAST = [
     "--preset",
@@ -79,6 +80,10 @@ class TestPipeline:
         assert m["stages"] == ["modes", "bands", "dynamics", "steady", "spectrum"]
         assert m["preset"] == "eq-strong" and m["scale"] == "reduced"
         assert m["metrics"]["steady"]["converged"] is True
+        # a fresh census records the passes of its root refinement
+        census = modes.scan_eigenfrequencies(apply_scale(preset("eq-strong"), "reduced"))
+        assert m["metrics"]["modes"]["cache_hit"] is False
+        assert m["metrics"]["modes"]["refine_passes"] == census[1] > 0
         dyn = m["metrics"]["dynamics"]
         # the coupling's range basis of W, certified at rank 64 of 100
         assert m["metrics"]["steady"]["range_rank"] == dyn["range_rank"] == 64
@@ -139,6 +144,7 @@ class TestPipeline:
         assert code == 0
         m = json.loads((pipe_dir / "run-manifest.json").read_text())
         assert m["metrics"]["modes"]["cache_hit"] is True
+        assert m["metrics"]["modes"]["refine_passes"] is None
 
     def test_modes_only_stages(self, tmp_path):
         code = main(["pipeline", "--out-dir", str(tmp_path), *FAST, "--stages", "modes"])
@@ -206,13 +212,33 @@ def test_dynamics_reruns_identical_and_thread_counts_agree(tmp_path):
             assert np.max(np.abs(one[col] - two[col]) / scale) <= 1e-12, (name, col)
 
 
-def test_integration_failure_exits_1(tmp_path, capsys, monkeypatch):
-    from photherm import pipeline
+def test_cli_import_leaves_integrator_unloaded():
+    """scipy.integrate and scipy.sparse load with the dynamics stage, not on import;
+    the package names of photherm.integrate resolve on first use."""
+    src = str(Path(photherm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, photherm.cli\n"
+        "heavy = ('scipy.integrate', 'scipy.sparse', 'photherm.integrate')\n"
+        "loaded = [m for m in sys.modules if m.startswith(heavy)]\n"
+        "assert not loaded, loaded\n"
+        "import photherm\n"
+        "from photherm.integrate import Trajectory, integrate\n"
+        "assert photherm.integrate is integrate and photherm.Trajectory is Trajectory\n"
+        "photherm.no_such_name\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert "AttributeError: module 'photherm' has no attribute 'no_such_name'" in run.stderr
 
+
+def test_integration_failure_exits_1(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise RuntimeError("step budget exhausted: system too stiff for method")
 
-    monkeypatch.setattr(pipeline, "integrate", fail)
+    # the dynamics stage imports the integrator from its module when it runs
+    monkeypatch.setattr(importlib.import_module("photherm.integrate"), "integrate", fail)
     code = main(["pipeline", "--stages", "dynamics", "--out-dir", str(tmp_path), *FAST])
     assert code == 1
     assert "step budget exhausted" in capsys.readouterr().err

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from photherm import modes, pipeline
+from photherm import bands, modes, pipeline
 from photherm.constants import SPEED_OF_LIGHT as C
 from photherm.params import PRESETS, PhysicalParams, apply_scale, preset
 
@@ -31,7 +31,7 @@ def empty_full():
 
 @pytest.fixture(scope="module")
 def empty_roots(empty_full):
-    return modes.scan_eigenfrequencies(empty_full)
+    return modes.scan_eigenfrequencies(empty_full)[0]
 
 
 def empty_gamma(n: np.ndarray, ratio: float) -> np.ndarray:
@@ -125,7 +125,7 @@ class TestEmptyCavity:
 
     def test_reduced_census_count(self, empty_full):
         p = empty_full.replace(cavity_length=empty_full.cavity_length / 10.0)
-        assert modes.scan_eigenfrequencies(p).size == REDUCED_EMPTY_COUNT
+        assert modes.scan_eigenfrequencies(p)[0].size == REDUCED_EMPTY_COUNT
 
     def test_count_steps_at_eigenfrequencies(self, empty_full):
         for n in (1, 7, 100, 6000):
@@ -169,10 +169,15 @@ class TestEmptyCavity:
 class TestScanRange:
     def test_empty_below_fundamental(self):
         p = PhysicalParams()
-        roots = modes.scan_eigenfrequencies(
+        roots, passes = modes.scan_eigenfrequencies(
             p.replace(omega_max=0.99 * math.pi * C / (2.0 * p.cavity_length))
         )
-        assert roots.size == 0
+        assert roots.size == 0 and passes == 0
+
+    def test_one_point_scan_grid(self):
+        # omega_max + step rounds to step: the grid holds omega_max alone
+        roots, passes = modes.scan_eigenfrequencies(PhysicalParams(omega_max=1e-300))
+        assert roots.size == 0 and passes == 0
 
     def test_plane_census_within_band(self, full_table):
         assert 6000 <= full_table.n_modes <= 7500
@@ -186,7 +191,7 @@ class TestNormalization:
     )
     def test_norm_includes_delta_terms(self, eta, omega_hi):
         p = PhysicalParams(plane_strength=eta, cavity_length=1.2e-3)
-        omega = modes.scan_eigenfrequencies(p.replace(omega_max=omega_hi))
+        omega, _ = modes.scan_eigenfrequencies(p.replace(omega_max=omega_hi))
         assert omega.size > 0
         assert np.max(modes.norm_residuals(omega, p)) < 1e-10
 
@@ -214,7 +219,7 @@ class TestNormalization:
 class TestWithPlanes:
     def test_root_continuity_under_eta_perturbation(self, full_params, full_table):
         p2 = full_params.replace(plane_strength=full_params.plane_strength * 1.001)
-        om2 = modes.scan_eigenfrequencies(p2)
+        om2, _ = modes.scan_eigenfrequencies(p2)
         assert om2.size == full_table.n_modes  # no swaps or losses
         assert np.max(np.abs(om2 / full_table.omega - 1.0)) < 1e-2
 
@@ -252,11 +257,91 @@ def test_census_is_the_sturm_spectrum(full_params, scale, factor):
     p = apply_scale(
         full_params.replace(plane_strength=full_params.plane_strength * factor), scale
     )
-    omega = modes.scan_eigenfrequencies(p)
+    omega, _ = modes.scan_eigenfrequencies(p)
     k = np.arange(omega.size)
     assert np.all(np.diff(omega) > 0.0)
     assert np.array_equal(modes.count_below(omega * (1.0 - EPS), p), k)
     assert np.array_equal(modes.count_below(omega * (1.0 + EPS), p), k + 1)
+
+
+@pytest.mark.parametrize("eta", [0.0, *np.logspace(-9, -3, 7)])
+def test_sturm_spectrum_over_plane_strength(reduced_params, eta):
+    """The Sturm invariants hold from the empty cavity to planes 50x the default."""
+    p = reduced_params.replace(plane_strength=eta)
+    omega, passes = modes.scan_eigenfrequencies(p)
+    k = np.arange(omega.size)
+    assert omega.size >= REDUCED_EMPTY_COUNT and passes > 0
+    assert np.all(np.diff(omega) > 0.0)
+    assert np.array_equal(modes.count_below(omega * (1.0 - EPS), p), k)
+    assert np.array_equal(modes.count_below(omega * (1.0 + EPS), p), k + 1)
+
+
+def bisection_passes(lo, hi, at_or_below):
+    """Passes of plain bisection to the stop rule of modes.refine_roots."""
+    lo, hi = lo.copy(), hi.copy()
+    passes = 0
+    while np.any(wide := hi - lo > modes.ROOT_RTOL * hi):
+        mid = 0.5 * (lo + hi)
+        below = wide & at_or_below(mid)
+        hi[below], lo[wide & ~below] = mid[below], mid[wide & ~below]
+        passes += 1
+    return passes
+
+
+def refine_random_brackets(shape, seed=7):
+    """refine_roots on 300 random brackets of f(x, i) = shape(x, root_i), with
+    the end values given and unknown. Checks the stop rule and returns the
+    pass counts and the passes plain bisection takes."""
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(0.5, 1.5, 300)
+    hi = lo + rng.uniform(1e-6, 2.0, lo.size)
+    root = lo + rng.uniform(0.0, 1.0, lo.size) * (hi - lo)
+    f = lambda x, i=slice(None): shape(x, root[i])
+    # |found - root| <= ROOT_RTOL * hi / 2 for the final hi, which is at
+    # most root / (1 - ROOT_RTOL)
+    bound = 0.5 * modes.ROOT_RTOL * root / (1.0 - modes.ROOT_RTOL)
+    passes = []
+    for ends in [(f(lo), f(hi)), ()]:
+        found, n = modes.refine_roots(lo, hi, f, *ends)
+        assert np.all(np.abs(found - root) <= bound)
+        passes.append(n)
+    return passes, bisection_passes(lo, hi, lambda x: f(x) >= 0.0)
+
+
+class TestRefineRoots:
+    @pytest.mark.parametrize("width", [1e-14, 1e-10, 1e-6, 1e-2, 1.0])
+    @pytest.mark.parametrize("cubic", [0.0, 1.0, 1e3])
+    def test_steep_step_plus_cubic(self, width, cubic):
+        """A tanh step of the given width on a cubic: across a narrow step the
+        secant lands far off, and the safeguard must fall back on bisection."""
+        passes, bisection = refine_random_brackets(
+            lambda x, r: np.tanh((x - r) / width) + cubic * (x - r) ** 3
+        )
+        assert max(passes) <= 2 * bisection
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            lambda x, r: np.tanh(x - r),
+            lambda x, r: (x / r) ** 20 - 1.0,
+            lambda x, r: np.expm1(30.0 * (x - r)),
+        ],
+    )
+    def test_smooth_roots_take_fewer_passes_than_bisection(self, shape):
+        """Simple roots of smooth functions, far from linear across the
+        bracket: the secant converges superlinearly, and the margin closes
+        the bracket once an iterate sits at the root."""
+        passes, bisection = refine_random_brackets(shape, seed=11)
+        assert max(passes) <= 0.75 * bisection
+
+    def test_gap_edges_are_sign_changes(self):
+        eta, l_p = 2.1e-5, 1e-5
+        gaps = bands.analytic_gaps(eta, l_p, 5e14)
+        assert gaps.shape == (6, 2)
+        excess = lambda om: np.abs(bands.dispersion_trace(om, eta, l_p)) - 1.0
+        lower = gaps[:, 0]
+        assert np.all(excess(lower * (1.0 - modes.ROOT_RTOL)) < 0.0)
+        assert np.all(excess(lower * (1.0 + modes.ROOT_RTOL)) > 0.0)
 
 
 class TestModeTable:
@@ -292,8 +377,9 @@ class TestModeTable:
     def test_old_layout_cache_is_solved_again(self, reduced_table, reduced_params, tmp_path):
         # censuses saved by earlier formats, each with a wrong m_peak standing
         # in for its stale values: unversioned with init_slope, version 2
-        # with the derived k_assigned and is_crystal columns stored, and
-        # version 3 with n_planes in its 6-entry geometry
+        # with the derived k_assigned and is_crystal columns stored, version 3
+        # with n_planes in its 6-entry geometry, and version 4, whose roots
+        # came from bisection, in today's layout
         path = tmp_path / "cache" / f"modes-{reduced_params.mode_cache_key()}.npz"
         path.parent.mkdir()
         t, p = reduced_table, reduced_params
@@ -315,9 +401,10 @@ class TestModeTable:
             dict(derived, init_slope=np.ones(t.n_modes)),
             dict(derived, census_version=2),
             dict(census_version=3),
+            dict(census_version=4, geometry=p.census_geometry()),
         )
         for extra in layouts:
-            np.savez_compressed(path, **columns, **extra)
+            np.savez_compressed(path, **{**columns, **extra})
             assert modes.ModeTable.load(path, p) is None
             table, from_cache = pipeline.load_or_solve_modes(p, tmp_path)
             assert not from_cache
