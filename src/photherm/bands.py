@@ -34,11 +34,13 @@ MIN_GAP_SPACING_FACTOR = 3.0
 
 @dataclass
 class BandStructure:
-    """(k, Omega) pairs of crystal-class modes plus gap intervals."""
+    """(k, Omega) pairs of crystal-class modes plus gap intervals, and the
+    refinement passes that located the analytic gap edges."""
 
     k: np.ndarray
     omega: np.ndarray
     gaps: np.ndarray  # shape (n_gaps, 2), [omega_lo, omega_hi] per row
+    passes: int
 
     @property
     def n_gaps(self) -> int:
@@ -57,24 +59,28 @@ def dispersion_trace(omega, eta: float, l_p: float):
     return np.cos(theta) - 0.5 * q * eta * np.sin(theta)
 
 
-def analytic_gaps(eta: float, l_p: float, omega_max: float) -> np.ndarray:
-    """Gap intervals of the infinite crystal in (0, omega_max], shape (n, 2).
+def analytic_gaps(eta: float, l_p: float, omega_max: float) -> tuple[np.ndarray, int]:
+    """Gap intervals of the infinite crystal in (0, omega_max], shape (n, 2),
+    and the refinement passes taken.
 
     The m-th gap ends at the Bragg frequency m*pi*c/l_p, clipped at
     omega_max; its lower edge is the one sign change of |T| - 1 inside
     ((m-1)*pi, m*pi)*c/l_p, refined to ROOT_RTOL. |T| - 1 vanishes at both
     ends of the period, so the refinement starts with unknown end values. A
     period whose lower edge reaches omega_max, or whose interval holds no
-    |T| > 1 at its midpoint (eta = 0, or a gap narrower than the refinement
-    resolves), holds no gap.
+    |T| > 1 at its midpoint (a gap narrower than the refinement resolves),
+    holds no gap. Without planes (eta = 0) |T| = |cos theta| never exceeds
+    1, so nothing is refined.
     """
+    if eta == 0.0:
+        return np.empty((0, 2)), 0
     period = math.pi * C / l_p
     bragg = period * np.arange(1, math.ceil(omega_max / period) + 1)
     excess = lambda om, _=None: np.abs(dispersion_trace(om, eta, l_p)) - 1.0
-    lower, _ = refine_roots(bragg - period, bragg, excess)
+    lower, passes = refine_roots(bragg - period, bragg, excess)
     upper = np.minimum(bragg, omega_max)
     keep = (lower < omega_max) & (excess(0.5 * (lower + upper)) > 0.0)
-    return np.column_stack([lower[keep], upper[keep]])
+    return np.column_stack([lower[keep], upper[keep]]), passes
 
 
 def band_structure(table: ModeTable) -> BandStructure:
@@ -91,7 +97,7 @@ def band_structure(table: ModeTable) -> BandStructure:
     if np.any(np.diff(omega_cc) <= 0.0):
         raise ValueError("crystal-class frequencies are not strictly increasing")
     p = table.params
-    raw = analytic_gaps(p.plane_strength, p.plane_spacing, p.omega_max)
+    raw, passes = analytic_gaps(p.plane_strength, p.plane_spacing, p.omega_max)
     # voids between consecutive crystal-class modes, and the one each gap's
     # midpoint falls in
     edges = np.concatenate(([0.0], omega_cc, [p.omega_max]))
@@ -99,7 +105,7 @@ def band_structure(table: ModeTable) -> BandStructure:
     gaps = np.column_stack([edges[void], edges[void + 1]])
     spacing = math.pi * C / p.cavity_length
     wide = gaps[:, 1] - gaps[:, 0] > MIN_GAP_SPACING_FACTOR * spacing
-    return BandStructure(k=table.k_assigned[cc], omega=omega_cc, gaps=gaps[wide])
+    return BandStructure(table.k_assigned[cc], omega_cc, gaps[wide], passes)
 
 
 def in_gap_mask(table: ModeTable, structure: BandStructure) -> np.ndarray:

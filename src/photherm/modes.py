@@ -42,12 +42,17 @@ from .params import PhysicalParams
 SCAN_SPACING_FACTOR = 0.3
 # Relative tolerance for eigenfrequency refinement.
 ROOT_RTOL = 1e-12
-# Relative margin of the crystal-class threshold Gamma > L_c/L: at eta = 0
-# modes with 2n*L_c/L an integer have Gamma exactly L_c/L, up to <= 1e-12.
-CLASS_RTOL = 1e-11
+# Relative margin of the crystal-class threshold Gamma > L_c/L. Modes with a
+# node on every plane have Gamma exactly L_c/L: at eta = 0 those with 2n*L_c/L
+# an integer, at any eta the Bragg frequencies m*pi*c/l_p that are
+# eigenfrequencies. At the latter, Gamma moves by about 5e-10 * m^2 *
+# eta / 2.1e-5 for a root off by ROOT_RTOL / 4: up to 6.6e-7 at 48 times the
+# default plane strength, while no other mode came within 4e-6 of the
+# threshold at 1e-3 to 48 times that strength.
+CLASS_RTOL = 1e-6
 # Format of a saved ModeTable; a file with another (or no) version is stale
 # and solved again. Raise it whenever a saved field changes layout or value.
-CENSUS_VERSION = 5
+CENSUS_VERSION = 6
 
 
 @dataclass
@@ -127,7 +132,9 @@ def _pruefer_phase(q: np.ndarray, params: PhysicalParams, end: float):
     of pi, where u = 0. Carrying m apart from rho keeps the shear branch
     exact even at the Bragg frequencies m*pi*c/l_p, where every plane sits
     at a phase multiple of pi and a plain accumulated phase loses the branch
-    to rounding.
+    to rounding. The whole turns m gains are the ones np.mod takes off, so
+    Theta stays continuous where an advance lands within an ulp of a
+    multiple of pi.
     """
     eta = params.plane_strength
     planes = params.plane_positions
@@ -138,15 +145,16 @@ def _pruefer_phase(q: np.ndarray, params: PhysicalParams, end: float):
     prev = 0.0
     for i, z in enumerate(planes):
         adv = rho + q * (z - prev)
-        m += np.floor(adv / np.pi).astype(np.int64)
         rho = rho_planes[:, i] = np.mod(adv, np.pi)
+        m += np.rint((adv - rho) / np.pi).astype(np.int64)
         if eta != 0.0:
             s, c = np.sin(rho), np.cos(rho)  # s >= 0 since rho in [0, pi)
             rho = np.mod(np.arctan2(s, c - q * eta * s), np.pi)
         prev = z
     adv = rho + q * (end - prev)
-    m += np.floor(adv / np.pi).astype(np.int64)
-    return m, np.mod(adv, np.pi), rho_planes
+    rho = np.mod(adv, np.pi)
+    m += np.rint((adv - rho) / np.pi).astype(np.int64)
+    return m, rho, rho_planes
 
 
 def count_below(omega, params: PhysicalParams) -> np.ndarray:

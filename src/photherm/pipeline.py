@@ -197,7 +197,9 @@ def stage_bands(ctx: RunContext) -> list[Path]:
         {"omega_lower": structure.gaps[:, 0], "omega_upper": structure.gaps[:, 1]},
         ctx.csv_metadata(content="band gap intervals"),
     )
-    ctx.manifest.metrics.setdefault("bands", {})["n_gaps"] = int(structure.n_gaps)
+    ctx.manifest.metrics.setdefault("bands", {}).update(
+        n_gaps=int(structure.n_gaps), refine_passes=structure.passes
+    )
     return [band_csv, gap_csv]
 
 

@@ -24,10 +24,12 @@ class TestDispersion:
         assert np.allclose(T, np.cos(om / C * 1e-5), rtol=0, atol=1e-15)
 
     def test_no_gaps_without_planes(self):
-        assert bands.analytic_gaps(0.0, 1e-5, 5e14).shape == (0, 2)
+        gaps, passes = bands.analytic_gaps(0.0, 1e-5, 5e14)
+        assert gaps.shape == (0, 2)
+        assert passes == 0
 
     def test_first_gap_edges(self):
-        gaps = bands.analytic_gaps(2.1e-5, 1e-5, 5e14)
+        gaps, _ = bands.analytic_gaps(2.1e-5, 1e-5, 5e14)
         # edges satisfy |T| = 1 by construction; verify independently
         for lo, hi in gaps:
             assert abs(abs(bands.dispersion_trace(lo, 2.1e-5, 1e-5)) - 1.0) < 1e-9
@@ -45,7 +47,7 @@ class TestDispersion:
         # the m-th gap of a weak comb is m pi eta c / l_p^2 wide, far below
         # any practical grid cell at eta = 1e-11
         eta, l_p = 1e-11, 1e-5
-        gaps = bands.analytic_gaps(eta, l_p, 5e14)
+        gaps, _ = bands.analytic_gaps(eta, l_p, 5e14)
         m = np.arange(1, 6)
         assert gaps.shape == (5, 2)
         assert gaps[:, 1] - gaps[:, 0] == pytest.approx(
@@ -59,7 +61,7 @@ class TestDispersion:
     )
     def test_gap_properties(self, log_eta, omega_max):
         eta, l_p = math.exp(log_eta), 1e-5
-        gaps = bands.analytic_gaps(eta, l_p, omega_max)
+        gaps, _ = bands.analytic_gaps(eta, l_p, omega_max)
         lo, hi = gaps[:, 0], gaps[:, 1]
         assert gaps.shape[0] >= 1
         assert np.all(lo < hi) and np.all(lo[1:] > hi[:-1])
@@ -91,7 +93,9 @@ class TestDispersion:
         assert np.all(T(0.5 * (band_lo + band_hi)) <= 1.0)
 
     def test_gap_count_below_cutoff(self):
-        assert bands.analytic_gaps(2.1e-5, 1e-5, 5e14).shape[0] == 6
+        gaps, passes = bands.analytic_gaps(2.1e-5, 1e-5, 5e14)
+        assert gaps.shape[0] == 6
+        assert passes > 0
 
 
 class TestGapIntervals:
@@ -99,6 +103,7 @@ class TestGapIntervals:
         p = PhysicalParams(plane_strength=0.0, cavity_length=1.2e-3)
         bs = bands.band_structure(modes.solve_modes(p))
         assert bs.n_gaps == 0
+        assert bs.passes == 0
 
     def test_quartet_frequencies_straddle_first_gap(self, full_table, full_bands):
         in_gap = lambda om: any(lo < om < hi for lo, hi in full_bands.gaps)

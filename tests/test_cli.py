@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import photherm
-from photherm import __version__, kinetics, modes
+from photherm import __version__, bands, kinetics, modes
 from photherm.cli import build_parser, main
 from photherm.csvio import read_csv, write_csv
 from photherm.params import apply_scale, preset
@@ -74,16 +74,26 @@ class TestPipeline:
             assert meta["params_digest"], name
             assert meta["tool"] == f"photherm {__version__}", name
 
-    def test_manifest_contents(self, pipe_dir):
+    def test_manifest_contents(self, pipe_dir, tmp_path):
         m = json.loads((pipe_dir / "run-manifest.json").read_text())
         assert m["tool_version"] == __version__
         assert m["stages"] == ["modes", "bands", "dynamics", "steady", "spectrum"]
         assert m["preset"] == "eq-strong" and m["scale"] == "reduced"
         assert m["metrics"]["steady"]["converged"] is True
-        # a fresh census records the passes of its root refinement
-        census = modes.scan_eigenfrequencies(apply_scale(preset("eq-strong"), "reduced"))
+        # a fresh census records the passes of its root refinement, and the
+        # band structure those of its gap edges: none without planes
+        p = apply_scale(preset("eq-strong"), "reduced")
+        census = modes.scan_eigenfrequencies(p)
         assert m["metrics"]["modes"]["cache_hit"] is False
         assert m["metrics"]["modes"]["refine_passes"] == census[1] > 0
+        _, passes = bands.analytic_gaps(p.plane_strength, p.plane_spacing, p.omega_max)
+        assert m["metrics"]["bands"]["refine_passes"] == passes > 0
+        code = main(["pipeline", "--out-dir", str(tmp_path), *FAST, "--stages", "modes",
+                     "--param", "plane_strength=0"])
+        assert code == 0
+        empty = json.loads((tmp_path / "run-manifest.json").read_text())
+        assert empty["metrics"]["bands"]["n_gaps"] == 0
+        assert empty["metrics"]["bands"]["refine_passes"] == 0
         dyn = m["metrics"]["dynamics"]
         # the coupling's range basis of W, certified at rank 64 of 100
         assert m["metrics"]["steady"]["range_rank"] == dyn["range_rank"] == 64

@@ -156,6 +156,17 @@ class TestEmptyCavity:
         assert np.count_nonzero(tie) == 127
         assert np.array_equal(table.is_crystal, (np.sin(math.pi * x) < 0.0) & ~tie)
 
+    def test_phase_continuous_at_multiples_of_pi(self, empty_full):
+        # Theta(L) = q L crosses n pi at the empty-cavity roots; points a few
+        # ulps either side must read Theta - n pi near 0, never near +-pi
+        n = np.arange(1, 400)
+        root = n * math.pi * C / empty_full.cavity_length
+        steps = np.arange(-8, 9) * np.finfo(float).eps
+        om = (root[:, None] * (1.0 + steps)).ravel()
+        m, rho, _ = modes._pruefer_phase(om / C, empty_full, empty_full.cavity_length)
+        theta = (m - np.repeat(n, steps.size)) * math.pi + rho
+        assert np.max(np.abs(theta)) < 1e-9
+
     def test_peak_count_tracks_wavelength(self, empty_full, empty_roots):
         # sin(q z) has its positive maxima at q z = pi/2 + 2 pi j; count those
         # inside (0, L_c)
@@ -239,6 +250,22 @@ class TestWithPlanes:
         p = full_params.replace(plane_strength=full_params.plane_strength * factor)
         table = full_table if factor == 1.0 else modes.solve_modes(p)
         assert np.array_equal(table.m_peak, sampled_peak_count(table.omega, p))
+
+    @pytest.mark.parametrize("scale", ["full", "reduced"])
+    @pytest.mark.parametrize("factor", [0.25, 1.0, 4.0])
+    def test_bragg_modes_are_cavity_class(self, scale, factor):
+        # at a Bragg frequency m pi c / l_p that is an eigenfrequency every
+        # plane sits on a node of sin(q z), so Gamma is exactly L_c/L
+        p = apply_scale(PhysicalParams(), scale)
+        p = p.replace(plane_strength=factor * p.plane_strength)
+        table = modes.solve_modes(p)
+        period = math.pi * C / p.plane_spacing
+        m = np.round(table.omega / period)
+        bragg = (m > 0) & (np.abs(table.omega - m * period) < 1e-9 * table.omega)
+        assert np.count_nonzero(bragg) == 5
+        even = p.crystal_length / p.cavity_length
+        assert np.all(np.abs(table.gamma_conf[bragg] / even - 1.0) < modes.CLASS_RTOL)
+        assert not np.any(table.is_crystal[bragg])
 
     def test_gamma_bounds(self, full_table):
         assert np.all(full_table.gamma_conf > 0.0)
@@ -336,7 +363,7 @@ class TestRefineRoots:
 
     def test_gap_edges_are_sign_changes(self):
         eta, l_p = 2.1e-5, 1e-5
-        gaps = bands.analytic_gaps(eta, l_p, 5e14)
+        gaps, _ = bands.analytic_gaps(eta, l_p, 5e14)
         assert gaps.shape == (6, 2)
         excess = lambda om: np.abs(bands.dispersion_trace(om, eta, l_p)) - 1.0
         lower = gaps[:, 0]
@@ -378,8 +405,9 @@ class TestModeTable:
         # censuses saved by earlier formats, each with a wrong m_peak standing
         # in for its stale values: unversioned with init_slope, version 2
         # with the derived k_assigned and is_crystal columns stored, version 3
-        # with n_planes in its 6-entry geometry, and version 4, whose roots
-        # came from bisection, in today's layout
+        # with n_planes in its 6-entry geometry, and versions 4 and 5, whose
+        # roots came from bisection and from a phase that jumped by pi within
+        # an ulp of its multiples, in today's layout
         path = tmp_path / "cache" / f"modes-{reduced_params.mode_cache_key()}.npz"
         path.parent.mkdir()
         t, p = reduced_table, reduced_params
@@ -402,6 +430,7 @@ class TestModeTable:
             dict(derived, census_version=2),
             dict(census_version=3),
             dict(census_version=4, geometry=p.census_geometry()),
+            dict(census_version=5, geometry=p.census_geometry()),
         )
         for extra in layouts:
             np.savez_compressed(path, **{**columns, **extra})

@@ -2,13 +2,15 @@
 
 Raw emission is an exact per-mode product, so most oracles are closed-form:
 Lorentzian peak/half-width values, the 1-D Planck curve at hand-computed
-points, and the Lorentzian area sum rule for the detector convolution.
+points, and the Lorentzian area sum rule for the detector convolution. The
+detector's proxy-mode summation is checked per sample against the dense
+Lorentzian sum over every (sample, mode) pair.
 """
 
 import numpy as np
 import pytest
 
-from photherm import spectra, steady
+from photherm import atoms, kinetics, spectra, steady
 from photherm.constants import BOLTZMANN, HBAR
 from photherm.modes import ModeTable
 from photherm.params import PhysicalParams
@@ -145,6 +147,98 @@ class TestEmissionDetector:
         t = toy([1e14], [0.2])
         with pytest.raises(ValueError):
             spectra.emission_detector(np.array([0.1]), t, gamma_d=0.0)
+
+
+PROXY_RTOL = 1e-13
+GAMMAS = [1e-2, 1e9, 5e11, 1e13, 1e15]
+
+
+def dense_detector(photons, table, samples, gamma_d):
+    """The detector spectrum summed over every (sample, mode) pair."""
+    weights = spectra.outside_weights(photons, table)
+    blocks = np.array_split(samples, max(1, samples.size // 100))
+    kernel = lambda s: 1.0 / (1.0 + ((s[:, None] - table.omega) / gamma_d) ** 2)
+    return np.concatenate([kernel(block) @ weights for block in blocks])
+
+
+def assert_matches_dense(photons, table, samples, gamma_d):
+    got = spectra.emission_detector(photons, table, samples, gamma_d=gamma_d)
+    want = dense_detector(photons, table, samples, gamma_d)
+    assert np.array_equal(got.omega, samples)
+    assert np.max(np.abs(got.value - want) / want) <= PROXY_RTOL
+
+
+def random_toy(n, seed, lo=1e14, hi=2e14):
+    rng = np.random.default_rng(seed)
+    omega = np.sort(rng.uniform(lo, hi, n))
+    return toy(omega, rng.uniform(0.0, 0.9, n)), rng.random(n)
+
+
+class TestProxyDetector:
+    """Clustered modes summed through Chebyshev proxies, per sample to 1e-13."""
+
+    @pytest.fixture(scope="class")
+    def full_photons(self, full_table, full_params):
+        grid = atoms.build_grid(full_params)
+        tables = kinetics.build_tables(
+            full_table.omega, full_table.gamma_conf, grid, full_params
+        )
+        res = steady.solve_steady(steady.seed_guess(tables), tables)
+        assert res.converged
+        rng = np.random.default_rng(11)
+        return {
+            "steady": tables.split(res.state)[1],
+            "random": rng.random(full_table.n_modes),
+            "spiky": rng.random(full_table.n_modes) ** 20,
+        }
+
+    @pytest.mark.parametrize("gamma_d", GAMMAS)
+    @pytest.mark.parametrize("kind", ["steady", "random", "spiky"])
+    def test_full_census_matches_dense_sum(self, full_table, full_photons, kind, gamma_d):
+        samples = spectra.default_samples(full_table.params.omega_max)
+        assert_matches_dense(full_photons[kind], full_table, samples, gamma_d)
+
+    def test_zero_photons_give_exact_zero(self, full_table):
+        s = spectra.emission_detector(np.zeros(full_table.n_modes), full_table)
+        assert np.all(s.value == 0.0)
+
+    @pytest.mark.parametrize("gamma_d", GAMMAS)
+    def test_samples_beyond_the_modes(self, gamma_d):
+        t, n = random_toy(600, 1)
+        samples = np.concatenate(
+            [np.geomspace(1e10, 9.99e13, 150), np.linspace(1e14, 2e14, 100),
+             np.geomspace(2.001e14, 1e17, 150)]
+        )
+        assert_matches_dense(n, t, samples, gamma_d)
+
+    @pytest.mark.parametrize("gamma_d", GAMMAS)
+    def test_duplicate_frequencies(self, gamma_d):
+        # one cluster of a single frequency, then repeated pairs
+        rng = np.random.default_rng(2)
+        pairs = np.repeat(np.sort(rng.uniform(1.6e14, 2e14, 200)), 2)
+        omega = np.concatenate([np.full(300, 1.5e14), pairs])
+        t = toy(omega, rng.uniform(0.0, 0.9, omega.size))
+        samples = np.sort(np.concatenate([np.linspace(1e14, 2.5e14, 300), omega[::7]]))
+        assert_matches_dense(rng.random(omega.size), t, samples, gamma_d)
+
+    @pytest.mark.parametrize("gamma_d", GAMMAS)
+    def test_unsorted_table(self, gamma_d):
+        t, n = random_toy(700, 3)
+        perm = np.random.default_rng(4).permutation(t.n_modes)
+        shuffled = toy(t.omega[perm], t.gamma_conf[perm])
+        samples = np.linspace(5e13, 2.5e14, 400)
+        assert_matches_dense(n[perm], shuffled, samples, gamma_d)
+        ordered = spectra.emission_detector(n, t, samples, gamma_d=gamma_d).value
+        got = spectra.emission_detector(n[perm], shuffled, samples, gamma_d=gamma_d).value
+        assert np.max(np.abs(got / ordered - 1.0)) <= PROXY_RTOL
+
+    @pytest.mark.parametrize("gamma_d", GAMMAS)
+    @pytest.mark.parametrize("n_modes", [1, 255, 256, 257])
+    def test_cluster_size_boundaries(self, n_modes, gamma_d):
+        assert spectra._CLUSTER == 256
+        t, n = random_toy(n_modes, 5)
+        samples = np.linspace(5e13, 2.5e14, 300)
+        assert_matches_dense(n, t, samples, gamma_d)
 
 
 class TestBlackbody:
