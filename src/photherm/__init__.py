@@ -10,13 +10,10 @@ fixed-point solves), and the resulting emission spectra against the
 one-dimensional blackbody reference.
 """
 
-import importlib
-import sys
-import types
-
 from ._version import __version__
 from .atoms import bose_einstein, build_grid, fermi_dirac, pump_rate
 from .bands import BandStructure, band_structure, in_gap_mask, representatives
+from .integrate import Trajectory, detect_saturation, integrate, log_times
 from .kinetics import CouplingTables, build_tables, quasi_steady_photon, rhs
 from .modes import ModeTable, solve_modes
 from .params import PRESETS, PhysicalParams, apply_scale, build_params, preset
@@ -67,23 +64,3 @@ __all__ = [
     "solve_steady",
     "spectral_ratio",
 ]
-
-_FROM_INTEGRATE = ("Trajectory", "detect_saturation", "integrate", "log_times")
-
-
-class _Package(types.ModuleType):
-    """The package, looking up the names of .integrate on first use: that
-    module loads scipy.integrate and scipy.sparse, which only dynamics needs."""
-
-    def __getattr__(self, name):
-        if name not in _FROM_INTEGRATE:
-            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-        return getattr(importlib.import_module(".integrate", __name__), name)
-
-    def __setattr__(self, name, value):
-        # importing the submodule binds it here; `integrate` stays the function
-        if not (name == "integrate" and isinstance(value, types.ModuleType)):
-            super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

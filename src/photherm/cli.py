@@ -15,10 +15,9 @@ import argparse
 import os
 import sys
 
-from .params import build_params
+from .params import PRESETS, SCALES, build_params
 from .pipeline import STAGE_DEFAULTS, StageError, run_pipeline
 
-PRESET_NAMES = ("eq-strong", "eq-weak", "eq-lossy", "noneq")
 # parsed arguments that select the parameters or the run, not a stage option
 NOT_STAGE_OPTIONS = (
     "command", "config", "param", "preset", "scale", "out_dir", "stages", "method"
@@ -37,15 +36,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--preset",
-        choices=PRESET_NAMES,
+        choices=tuple(PRESETS),
         help="damping/pumping regime preset",
     )
     common.add_argument(
         "--scale",
-        choices=("full", "reduced"),
+        choices=SCALES,
         default="full",
-        help="geometry scale: full, or reduced (crystal/cavity 10x shorter, "
-        "100 atomic frequencies) for quick runs",
+        help="geometry scale: full, or reduced (cavity 10x shorter, plane "
+        "stack unchanged, 100 atomic frequencies) for quick runs",
     )
     common.add_argument(
         "--out-dir", default="runs", help="directory for output files and cache"
@@ -167,7 +166,6 @@ def main(argv: list[str] | None = None) -> int:
             args.out_dir,
             options=options,
             preset_name=args.preset,
-            scale=args.scale,
         )
     except ValueError as exc:
         print(f"photherm: {exc}", file=sys.stderr)

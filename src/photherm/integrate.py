@@ -7,6 +7,8 @@ Newton matrix I - cJ is never formed: kinetics.ShiftedLU, the steady
 solver's kernel, factors it through the Schur complement of its photon
 block. The hook replaces BDF attributes that are not public scipy API
 (`_validate_jac`, `J`, `I`, `lu`, `solve_lu`); a test names any that go.
+scipy.integrate and scipy.sparse load when the first solver is built
+(`_schur_bdf`), so importing this module does not load them.
 Snapshots come from BDF's dense output, clamped onto the physical simplex
 when they leave it by less than 10 * (atol + rtol * scale); larger
 excursions abort.
@@ -14,18 +16,17 @@ excursions abort.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import BDF
-from scipy.sparse import csc_matrix
 
 from .kinetics import CouplingTables, ShiftedLU, affine_coefficients
-from .params import POINTS_PER_DECADE
 
 T_FLOOR = 1e-16  # earliest log-grid time, s
 TOL_SCALE = 0.4
+POINTS_PER_DECADE = 60  # snapshots per decade of the log-spaced time grid
 
 
 @dataclass
@@ -88,29 +89,35 @@ class _Jacobian:
         return sigma, self.c, self.y, self.a
 
 
-class _SchurBDF(BDF):
+@functools.cache
+def _schur_bdf() -> type:
     """scipy's BDF with its Newton matrix I - cJ factored by kinetics.ShiftedLU."""
+    from scipy.integrate import BDF
+    from scipy.sparse import csc_matrix
 
-    def __init__(self, fun, t0, y0, t_bound, tables: CouplingTables, **options):
-        self.tables = tables
-        super().__init__(fun, t0, y0, t_bound, **options)
-        self.J = self.jac(self.t, self.y)
-        self.I = 1.0
-        self.lu = self._lu
-        self.solve_lu = lambda lu, r: lu.solve(r)
+    class SchurBDF(BDF):
+        def __init__(self, fun, t0, y0, t_bound, tables: CouplingTables, **options):
+            self.tables = tables
+            super().__init__(fun, t0, y0, t_bound, **options)
+            self.J = self.jac(self.t, self.y)
+            self.I = 1.0
+            self.lu = self._lu
+            self.solve_lu = lambda lu, r: lu.solve(r)
 
-    def _validate_jac(self, jac, sparsity):
-        # a sparse placeholder keeps BDF.__init__ from building a dense identity
-        return self._jacobian, csc_matrix((self.n, self.n))
+        def _validate_jac(self, jac, sparsity):
+            # a sparse placeholder keeps BDF.__init__ from building a dense identity
+            return self._jacobian, csc_matrix((self.n, self.n))
 
-    def _jacobian(self, t, y):
-        self.njev += 1
-        return _Jacobian(y.copy(), affine_coefficients(y, self.tables)[0])
+        def _jacobian(self, t, y):
+            self.njev += 1
+            return _Jacobian(y.copy(), affine_coefficients(y, self.tables)[0])
 
-    def _lu(self, shifted):
-        sigma, c, y, a = shifted
-        self.nlu += 1
-        return ShiftedLU(y, self.tables, sigma, c, a)
+        def _lu(self, shifted):
+            sigma, c, y, a = shifted
+            self.nlu += 1
+            return ShiftedLU(y, self.tables, sigma, c, a)
+
+    return SchurBDF
 
 
 def integrate(
@@ -158,7 +165,7 @@ def integrate(
         a, b = affine_coefficients(state, tables)
         return a * state + b
 
-    solver = _SchurBDF(
+    solver = _schur_bdf()(
         fun, 0.0, y, t_end, tables, rtol=TOL_SCALE * rtol, atol=TOL_SCALE * atol
     )
     attempts, last_t = 0, None  # start-up evaluations are no step attempts

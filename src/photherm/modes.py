@@ -52,7 +52,7 @@ ROOT_RTOL = 1e-12
 CLASS_RTOL = 1e-6
 # Format of a saved ModeTable; a file with another (or no) version is stale
 # and solved again. Raise it whenever a saved field changes layout or value.
-CENSUS_VERSION = 6
+CENSUS_VERSION = 7
 
 
 @dataclass
@@ -283,11 +283,16 @@ def count_peaks(omega: np.ndarray, params: PhysicalParams) -> np.ndarray:
     Theta = m*pi + rho just left of the last plane at L_c, the crossings
     number (m + 1)//2, plus one when m is even and rho is past pi/2. One
     positive hump per full wavelength makes this the spatial order of the
-    mode inside the stack.
+    mode inside the stack. A root refined to ROOT_RTOL leaves Theta = q*L_c
+    of the empty cavity uncertain by up to Theta * ROOT_RTOL / 2, so a
+    crossing within Theta * ROOT_RTOL of L_c counts as a maximum on L_c,
+    outside the stack: at eta = 0 one sits exactly there whenever
+    2*omega*L_c/(pi*c) is 1 plus a multiple of 4.
     """
     q = np.atleast_1d(np.asarray(omega, dtype=float)) / C
     m, rho, _ = _pruefer_phase(q, params, params.crystal_length)
-    return (m + 1) // 2 + ((m % 2 == 0) & (rho > 0.5 * np.pi))
+    past = rho - 0.5 * np.pi > (m * np.pi + rho) * ROOT_RTOL
+    return (m + 1) // 2 + ((m % 2 == 0) & past)
 
 
 def solve_modes(params: PhysicalParams) -> ModeTable:

@@ -23,8 +23,6 @@ from .constants import ELEMENTARY_CHARGE, HBAR, VACUUM_PERMITTIVITY
 DEFAULT_DIPOLE = ELEMENTARY_CHARGE * 1.3e-9
 
 SCALES = ("full", "reduced")
-# Snapshots per decade of the log-spaced time grid (integrate.log_times).
-POINTS_PER_DECADE = 60
 # Python types a value may have, by the type named in a field's annotation.
 FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 

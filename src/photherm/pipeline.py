@@ -25,7 +25,8 @@ import numpy as np
 from . import atoms, bands, kinetics, modes, spectra, steady
 from ._version import __version__
 from .csvio import read_csv, write_csv
-from .params import POINTS_PER_DECADE, PhysicalParams
+from .integrate import POINTS_PER_DECADE, integrate
+from .params import PhysicalParams
 
 MANIFEST_NAME = "run-manifest.json"
 STAGE_ORDER = ("modes", "bands", "dynamics", "steady", "spectrum")
@@ -83,7 +84,7 @@ class RunContext:
             "manifest": MANIFEST_NAME,
             "params_digest": self.params.digest(),
             "preset": self.manifest.preset or "",
-            "scale": self.manifest.scale,
+            "scale": self.params.scale,
         }
         meta.update(extra)
         return meta
@@ -219,8 +220,6 @@ def _probe_indices(ctx: RunContext) -> tuple[list[int], list[int]]:
 
 
 def stage_dynamics(ctx: RunContext) -> list[Path]:
-    from .integrate import integrate  # scipy.integrate loads with the first dynamics run
-
     t = ctx.get_tables()
     t_end = float(ctx.option("t_end"))
     rtol = float(ctx.option("rtol"))
@@ -389,7 +388,6 @@ def run_pipeline(
     out_dir: str | Path,
     options: dict | None = None,
     preset_name: str | None = None,
-    scale: str = "full",
 ) -> RunManifest:
     """Execute the requested stages in dependency order and write a manifest.
 
@@ -411,7 +409,7 @@ def run_pipeline(
     manifest = RunManifest(
         params=params.to_dict(),
         preset=preset_name,
-        scale=scale,
+        scale=params.scale,
         stages=ordered,
         options=dict(options or {}),
     )

@@ -6,7 +6,6 @@ comparing every data file byte for byte (the manifest is excluded: its
 wall-clock metrics legitimately vary).
 """
 
-import importlib
 import json
 import os
 import subprocess
@@ -17,7 +16,7 @@ import numpy as np
 import pytest
 
 import photherm
-from photherm import __version__, bands, kinetics, modes
+from photherm import __version__, bands, kinetics, modes, pipeline
 from photherm.cli import build_parser, main
 from photherm.csvio import read_csv, write_csv
 from photherm.params import apply_scale, preset
@@ -156,6 +155,13 @@ class TestPipeline:
         assert m["metrics"]["modes"]["cache_hit"] is True
         assert m["metrics"]["modes"]["refine_passes"] is None
 
+    def test_manifest_scale_comes_from_params(self, tmp_path):
+        params = apply_scale(preset("eq-strong"), "reduced")
+        pipeline.run_pipeline(params, ["modes"], tmp_path)
+        m = json.loads((tmp_path / "run-manifest.json").read_text())
+        meta, _ = read_csv(tmp_path / "modes.csv")
+        assert m["scale"] == meta["scale"] == "reduced"
+
     def test_modes_only_stages(self, tmp_path):
         code = main(["pipeline", "--out-dir", str(tmp_path), *FAST, "--stages", "modes"])
         assert code == 0
@@ -223,17 +229,21 @@ def test_dynamics_reruns_identical_and_thread_counts_agree(tmp_path):
 
 
 def test_cli_import_leaves_integrator_unloaded():
-    """scipy.integrate and scipy.sparse load with the dynamics stage, not on import;
-    the package names of photherm.integrate resolve on first use."""
+    """scipy.integrate and scipy.sparse load with the first integration, not on
+    import: neither `import photherm.cli` nor every package name loads them."""
     src = str(Path(photherm.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import sys, photherm.cli\n"
-        "heavy = ('scipy.integrate', 'scipy.sparse', 'photherm.integrate')\n"
-        "loaded = [m for m in sys.modules if m.startswith(heavy)]\n"
-        "assert not loaded, loaded\n"
+        "heavy = ('scipy.integrate', 'scipy.sparse')\n"
+        "loaded = lambda: [m for m in sys.modules if m.startswith(heavy)]\n"
+        "assert not loaded(), loaded()\n"
         "import photherm\n"
+        "from photherm import *\n"
+        "for name in photherm.__all__:\n"
+        "    getattr(photherm, name)\n"
+        "assert not loaded(), loaded()\n"
         "from photherm.integrate import Trajectory, integrate\n"
         "assert photherm.integrate is integrate and photherm.Trajectory is Trajectory\n"
         "photherm.no_such_name\n"
@@ -247,8 +257,7 @@ def test_integration_failure_exits_1(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise RuntimeError("step budget exhausted: system too stiff for method")
 
-    # the dynamics stage imports the integrator from its module when it runs
-    monkeypatch.setattr(importlib.import_module("photherm.integrate"), "integrate", fail)
+    monkeypatch.setattr(pipeline, "integrate", fail)
     code = main(["pipeline", "--stages", "dynamics", "--out-dir", str(tmp_path), *FAST])
     assert code == 1
     assert "step budget exhausted" in capsys.readouterr().err

@@ -19,7 +19,7 @@ from photherm import atoms, kinetics
 from photherm.integrate import (
     Trajectory,
     _clamp_simplex,
-    _SchurBDF,
+    _schur_bdf,
     detect_saturation,
     integrate,
     log_times,
@@ -298,8 +298,8 @@ class TestSchurHook:
             a, b = kinetics.affine_coefficients(y, t)
             return a * y + b
 
-        solver = _SchurBDF(fun, 0.0, np.zeros(t.n_freqs + t.n_modes), 1e-13, t,
-                           rtol=1e-5, atol=1e-14)
+        solver = _schur_bdf()(fun, 0.0, np.zeros(t.n_freqs + t.n_modes), 1e-13, t,
+                              rtol=1e-5, atol=1e-14)
         while solver.status == "running":
             solver.step()
         assert solver.status == "finished"

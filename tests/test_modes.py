@@ -9,6 +9,7 @@ propagates the field pair (u, w) itself.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -167,14 +168,20 @@ class TestEmptyCavity:
         theta = (m - np.repeat(n, steps.size)) * math.pi + rho
         assert np.max(np.abs(theta)) < 1e-9
 
-    def test_peak_count_tracks_wavelength(self, empty_full, empty_roots):
-        # sin(q z) has its positive maxima at q z = pi/2 + 2 pi j; count those
-        # inside (0, L_c)
-        q = empty_roots / C
-        expected = np.maximum(
-            0, np.ceil((q * empty_full.crystal_length - 0.5 * math.pi) / (2.0 * math.pi))
-        )
-        assert np.array_equal(modes.count_peaks(empty_roots, empty_full), expected)
+    def test_peak_count_tracks_wavelength(self, empty_full):
+        # the k-th mode sin(k pi z / L) has its positive maxima at
+        # k pi z / L = pi/2 + 2 pi j; with L_c/L = a/b those inside (0, L_c)
+        # are the j >= 0 with b (1 + 4j) < 2 k a, counted in integers so that
+        # a maximum exactly on L_c (b (1 + 4j) = 2 k a) is left out
+        for scale in ("full", "reduced"):
+            p = apply_scale(empty_full, scale)
+            table = modes.solve_modes(p)
+            ratio = Fraction(p.crystal_length / p.cavity_length).limit_denominator(1000)
+            a, b = ratio.as_integer_ratio()
+            k = np.arange(1, table.n_modes + 1)
+            expected = (2 * k * a + 3 * b - 1) // (4 * b)
+            assert np.count_nonzero(2 * k * a % (4 * b) == b) == 32
+            assert np.array_equal(table.m_peak, expected), scale
 
 
 class TestScanRange:
@@ -405,9 +412,10 @@ class TestModeTable:
         # censuses saved by earlier formats, each with a wrong m_peak standing
         # in for its stale values: unversioned with init_slope, version 2
         # with the derived k_assigned and is_crystal columns stored, version 3
-        # with n_planes in its 6-entry geometry, and versions 4 and 5, whose
-        # roots came from bisection and from a phase that jumped by pi within
-        # an ulp of its multiples, in today's layout
+        # with n_planes in its 6-entry geometry, and versions 4, 5 and 6,
+        # whose roots came from bisection and from a phase that jumped by pi
+        # within an ulp of its multiples, and whose peak count took in a
+        # maximum on L_c, in today's layout
         path = tmp_path / "cache" / f"modes-{reduced_params.mode_cache_key()}.npz"
         path.parent.mkdir()
         t, p = reduced_table, reduced_params
@@ -431,6 +439,7 @@ class TestModeTable:
             dict(census_version=3),
             dict(census_version=4, geometry=p.census_geometry()),
             dict(census_version=5, geometry=p.census_geometry()),
+            dict(census_version=6, geometry=p.census_geometry()),
         )
         for extra in layouts:
             np.savez_compressed(path, **{**columns, **extra})
