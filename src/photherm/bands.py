@@ -46,11 +46,6 @@ class BandStructure:
     def n_gaps(self) -> int:
         return self.gaps.shape[0]
 
-    def total_gap_measure(self) -> float:
-        if self.gaps.size == 0:
-            return 0.0
-        return float(np.sum(self.gaps[:, 1] - self.gaps[:, 0]))
-
 
 def dispersion_trace(omega, eta: float, l_p: float):
     """Half-trace T of the single-period transfer matrix (vectorized)."""

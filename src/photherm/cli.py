@@ -134,7 +134,6 @@ def _add_spectrum_flags(p: argparse.ArgumentParser) -> None:
         help="state snapshot to transform (default: steady-state.csv or "
         "dynamics-state.csv in the output directory)",
     )
-    p.add_argument("--gamma-d", type=float, help="detector half-width (rad/s)")
     p.add_argument(
         "--blackbody", action="store_true", help="also write the thermal reference"
     )

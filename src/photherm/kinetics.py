@@ -47,27 +47,24 @@ class CouplingTables:
 
     W = L diag(omega_modes * gamma_conf), shape (n_atom_freqs, n_modes), is
     kept as Q (n_freqs x r, orthonormal columns) and B (r x n_modes), built
-    by build_tables, with w_max = max W.  fermi and pump are the equilibrium
-    and pumping rates on the atom grid; rates and coupling constants are
-    copied out of params so the rhs needs no other context.  W_colsum and
-    a0, a1, b0, b1 (the packed rhs constants, see the module docstring) are
-    derived from the other fields.
+    by build_tables, with w_max = max W.  Q, B and w_max depend only on the
+    atom grid, the modes and params.dephasing_rate, so tables for params
+    that differ in any other rate share them (dataclasses.replace with new
+    params).  Every rate and coupling constant is read from params; fermi
+    and pump (the equilibrium and pumping rates on the atom grid), W_colsum
+    and a0, a1, b0, b1 (the packed rhs constants, see the module docstring)
+    are derived from the other fields.
     """
 
     omega_atoms: np.ndarray
     omega_modes: np.ndarray
     gamma_conf: np.ndarray
-    dephasing_rate: float
+    params: PhysicalParams
     Q: np.ndarray = field(repr=False)
     B: np.ndarray = field(repr=False)
     w_max: float
-    fermi: np.ndarray = field(repr=False)
-    pump: np.ndarray = field(repr=False)
-    g_atom: float = 0.0
-    g_photon: float = 0.0
-    gamma_r: float = 0.0
-    gamma_c: float = 0.0
-    atoms_per_site: int = 1
+    fermi: np.ndarray = field(init=False, repr=False)
+    pump: np.ndarray = field(init=False, repr=False)
     W_colsum: np.ndarray = field(init=False, repr=False)
     a0: np.ndarray = field(init=False, repr=False)
     a1: np.ndarray = field(init=False, repr=False)
@@ -75,11 +72,13 @@ class CouplingTables:
     b1: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        nf, nm = self.n_freqs, self.n_modes
+        nf, nm, p = self.n_freqs, self.n_modes, self.params
+        self.fermi = atoms.fermi_dirac(self.omega_atoms, p.temperature)
+        self.pump = atoms.pump_rate(self.omega_atoms, p.temperature, p)
         self.W_colsum = self.Q.sum(axis=0) @ self.B
         self.a0 = self.rate_constant(self.Q @ self.B.sum(axis=1), self.W_colsum)
-        self.b0 = self.pack(self.gamma_r * self.fermi + self.pump, np.zeros(nm))
-        self.b1 = self.pack(np.full(nf, self.g_atom), np.full(nm, self.g_photon))
+        self.b0 = self.pack(p.relaxation_rate * self.fermi + self.pump, np.zeros(nm))
+        self.b1 = self.pack(np.full(nf, p.g_atom), np.full(nm, p.g_photon))
         self.a1 = self.b1 * self.pack(np.full(nf, -2.0), np.full(nm, 2.0))
 
     @property
@@ -98,9 +97,10 @@ class CouplingTables:
 
     def rate_constant(self, rowsum: np.ndarray, colsum: np.ndarray) -> np.ndarray:
         """a0 for a coupling matrix with these row and column sums."""
+        p = self.params
         return self.pack(
-            -self.g_atom * rowsum - self.gamma_r - self.pump,
-            -self.g_photon * colsum - self.gamma_c,
+            -p.g_atom * rowsum - p.relaxation_rate - self.pump,
+            -p.g_photon * colsum - p.photon_loss_rate,
         )
 
     def row_blocks(self):
@@ -109,7 +109,7 @@ class CouplingTables:
         return _row_blocks(
             self.omega_atoms,
             self.omega_modes,
-            self.dephasing_rate,
+            self.params.dephasing_rate,
             self.omega_modes * self.gamma_conf,
         )
 
@@ -206,22 +206,7 @@ def build_tables(
     if om_m.size == 0 or om_a.size == 0:
         raise ValueError("empty mode set or atom grid")
     Q, B, w_max = _range_basis(om_a, om_m, params.dephasing_rate, om_m * gam)
-    return CouplingTables(
-        omega_atoms=om_a,
-        omega_modes=om_m,
-        gamma_conf=gam,
-        dephasing_rate=params.dephasing_rate,
-        Q=Q,
-        B=B,
-        w_max=w_max,
-        fermi=atoms.fermi_dirac(om_a, params.temperature),
-        pump=atoms.pump_rate(om_a, params.temperature, params),
-        g_atom=params.g_atom,
-        g_photon=params.g_photon,
-        gamma_r=params.relaxation_rate,
-        gamma_c=params.photon_loss_rate,
-        atoms_per_site=params.atoms_per_site,
-    )
+    return CouplingTables(om_a, om_m, gam, params, Q, B, w_max)
 
 
 def _coefficients(y: np.ndarray, tables: CouplingTables) -> tuple[np.ndarray, np.ndarray]:
@@ -270,7 +255,7 @@ def exact_rhs(y: np.ndarray, tables: CouplingTables) -> np.ndarray:
 def total_excitation(y: np.ndarray, tables: CouplingTables) -> float:
     """Conserved count sum_k N_k + N_j sum_n n_e (exact when loss-free)."""
     n, N = tables.split(y)
-    return float(np.sum(N) + tables.atoms_per_site * np.sum(n))
+    return float(np.sum(N) + tables.params.atoms_per_site * np.sum(n))
 
 
 def quasi_steady_photon(n_e: np.ndarray, tables: CouplingTables) -> np.ndarray:
@@ -280,11 +265,12 @@ def quasi_steady_photon(n_e: np.ndarray, tables: CouplingTables) -> np.ndarray:
     must stay positive - otherwise stimulated gain beats the losses and that
     mode has no steady state at these populations.
     """
+    g_p = tables.params.g_photon
     proj = (np.asarray(n_e, dtype=float) @ tables.Q) @ tables.B
-    denom = tables.gamma_c + tables.g_photon * (tables.W_colsum - 2.0 * proj)
+    denom = tables.params.photon_loss_rate + g_p * (tables.W_colsum - 2.0 * proj)
     if np.any(denom <= 0.0):
         raise ValueError("non-positive denominator: inverted gain, no fixed point")
-    return tables.g_photon * proj / denom
+    return g_p * proj / denom
 
 
 class ShiftedLU:

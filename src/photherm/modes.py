@@ -267,13 +267,6 @@ def normalize_modes(omega: np.ndarray, params: PhysicalParams):
     return u2_planes * scale2[:, None], seg * scale2[:, None]
 
 
-def norm_residuals(omega: np.ndarray, params: PhysicalParams) -> np.ndarray:
-    """|int eps u^2 / eps0 - 1| for normalized modes (test hook)."""
-    u2_planes, seg = normalize_modes(omega, params)
-    delta_part = params.plane_strength * np.sum(u2_planes, axis=1)
-    return np.abs(seg.sum(axis=1) + delta_part - 1.0)
-
-
 def count_peaks(omega: np.ndarray, params: PhysicalParams) -> np.ndarray:
     """Number of positive field maxima inside the plane stack (0, L_c).
 

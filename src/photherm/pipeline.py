@@ -338,8 +338,7 @@ def stage_spectrum(ctx: RunContext) -> list[Path]:
                 "no input state: pass --input or run the dynamics/steady stage first"
             )
     photons = state[ctx.params.n_atom_freqs :]
-    gamma_d = ctx.option("gamma_d")
-    gamma_d = float(ctx.params.detector_width if gamma_d is None else gamma_d)
+    gamma_d = float(ctx.params.detector_width)
     samples = spectra.default_samples(ctx.params.omega_max, int(ctx.option("n_samples")))
     det = spectra.emission_detector(photons, table, samples, gamma_d=gamma_d)
     outputs = [

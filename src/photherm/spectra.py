@@ -1,8 +1,8 @@
 """Emission spectra from photon-number states.
 
 Each cavity mode radiates the fraction of its energy living outside the
-crystal, giving one raw spectral point per mode: frequency times photon
-number times (1 - confined fraction).  A detector with finite frequency
+crystal: its weight is frequency times photon number times (1 - confined
+fraction), `outside_weights`.  A detector with finite frequency
 resolution sees the sum of peak-one Lorentzians of half-width ``gamma_d``
 centered on the modes.  The one-dimensional blackbody curve
 omega / (exp(hbar omega / kT) - 1) is the thermal reference, and ratios
@@ -35,7 +35,7 @@ import numpy as np
 from .constants import BOLTZMANN, HBAR
 from .modes import ModeTable
 
-KINDS = ("raw", "detector", "blackbody", "ratio")
+KINDS = ("detector", "blackbody", "ratio")
 DEFAULT_N_SAMPLES = 2000
 _CLUSTER = 256  # consecutive modes per cluster
 _PROXIES = 20  # Chebyshev proxy modes per cluster: error ~ (3 + sqrt 8)^-20
@@ -84,11 +84,6 @@ def outside_weights(photons: np.ndarray, table: ModeTable) -> np.ndarray:
             f"photon vector has shape {photons.shape}, expected {table.omega.shape}"
         )
     return table.omega * photons * (1.0 - table.gamma_conf)
-
-
-def emission_raw(photons: np.ndarray, table: ModeTable) -> Spectrum:
-    """One spectral point per mode at the mode's own frequency."""
-    return Spectrum(table.omega.copy(), outside_weights(photons, table), "raw")
 
 
 def _lorentzian(samples: np.ndarray, omega: np.ndarray, gamma_d: float, out: np.ndarray):

@@ -61,7 +61,8 @@ class SteadyResult:
 
 def _rate_scale(tables: CouplingTables) -> float:
     """Fastest rate in the system, used to make residuals dimensionless."""
-    return max(tables.gamma_r, tables.gamma_c, tables.g_photon * tables.w_max)
+    p = tables.params
+    return max(p.relaxation_rate, p.photon_loss_rate, p.g_photon * tables.w_max)
 
 
 def _scaled_norm(r: np.ndarray, y: np.ndarray, rate: float) -> float:
@@ -90,7 +91,7 @@ def seed_guess(tables: CouplingTables) -> np.ndarray:
     at their conditional fixed point given those occupations.
     """
     pump = tables.pump
-    denom = pump + tables.gamma_r
+    denom = pump + tables.params.relaxation_rate
     weight = np.divide(pump, denom, out=np.zeros_like(pump), where=denom > 0.0)
     n_e = np.minimum(tables.fermi + weight * (1.0 - tables.fermi), ELECTRON_GUESS_CAP)
     photons = quasi_steady_photon(n_e, tables)

@@ -6,10 +6,13 @@ comparing every data file byte for byte (the manifest is excluded: its
 wall-clock metrics legitimately vary).
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -230,27 +233,37 @@ def test_dynamics_reruns_identical_and_thread_counts_agree(tmp_path):
 
 def test_cli_import_leaves_integrator_unloaded():
     """scipy.integrate and scipy.sparse load with the first integration, not on
-    import: neither `import photherm.cli` nor every package name loads them."""
+    import: neither `import photherm.cli` nor importing every submodule loads
+    them."""
     src = str(Path(photherm.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
-        "import sys, photherm.cli\n"
+        "import importlib, pkgutil, sys, photherm.cli\n"
         "heavy = ('scipy.integrate', 'scipy.sparse')\n"
         "loaded = lambda: [m for m in sys.modules if m.startswith(heavy)]\n"
         "assert not loaded(), loaded()\n"
         "import photherm\n"
-        "from photherm import *\n"
-        "for name in photherm.__all__:\n"
-        "    getattr(photherm, name)\n"
+        "names = [m.name for m in pkgutil.iter_modules(photherm.__path__)]\n"
+        "assert 'integrate' in names, names\n"
+        "for name in names:\n"
+        "    importlib.import_module('photherm.' + name)\n"
         "assert not loaded(), loaded()\n"
-        "from photherm.integrate import Trajectory, integrate\n"
-        "assert photherm.integrate is integrate and photherm.Trajectory is Trajectory\n"
-        "photherm.no_such_name\n"
     )
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120)
-    assert "AttributeError: module 'photherm' has no attribute 'no_such_name'" in run.stderr
+    assert run.returncode == 0, run.stderr
+
+
+def test_import_binds_submodules():
+    """`import photherm.integrate as m` binds the module, not a function of the
+    same name: the package shadows none of its submodules."""
+    import photherm.integrate as m
+
+    assert isinstance(m, types.ModuleType)
+    for info in pkgutil.iter_modules(photherm.__path__):
+        module = importlib.import_module(f"photherm.{info.name}")
+        assert getattr(photherm, info.name) is module, info.name
 
 
 def test_integration_failure_exits_1(tmp_path, capsys, monkeypatch):
@@ -288,12 +301,14 @@ class TestSingleCommands:
         code = main(
             ["spectrum", "--out-dir", str(tmp_path), "--preset", "eq-strong",
              "--scale", "reduced", "--input", str(pipe_dir / "steady-state.csv"),
-             "--gamma-d", "1e12", "--n-samples", "64"]
+             "--param", "detector_width=1e12", "--n-samples", "64"]
         )
         assert code == 0
         meta, cols = read_csv(tmp_path / "spectrum.csv")
         assert cols["omega"].size == 64
         assert float(meta["gamma_d"]) == 1e12
+        wide = apply_scale(preset("eq-strong"), "reduced").replace(detector_width=1e12)
+        assert meta["params_digest"] == wide.digest()
 
     def test_spectrum_from_input_builds_no_coupling_tables(self, pipe_dir, tmp_path,
                                                            monkeypatch, capsys):
@@ -497,7 +512,7 @@ class TestArgumentHandling:
     def test_zero_detector_width_exits_1(self, pipe_dir, tmp_path, capsys):
         code = main(["spectrum", "--out-dir", str(tmp_path), "--preset", "eq-strong",
                      "--scale", "reduced", "--input", str(pipe_dir / "steady-state.csv"),
-                     "--gamma-d", "0"])
+                     "--param", "detector_width=0"])
         assert code == 1
         assert "gamma_d must be positive" in capsys.readouterr().err
         assert not (tmp_path / "spectrum.csv").exists()

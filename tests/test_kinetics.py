@@ -93,6 +93,35 @@ class TestBuildTables:
         expect = lorentzian * (t.omega_modes * t.gamma_conf)
         assert np.array_equal(t.W, expect)
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"atom_density": 5e22},
+            {"photon_loss_rate": 5e12},
+            {"relaxation_rate": 1e10},
+            {"pump_amplitude": 3e12},
+        ],
+    )
+    def test_new_rates_share_the_basis(self, reduced_table, reduced_tables, change):
+        # rates live in params alone, and Q and B depend only on the atom
+        # grid, the modes and dephasing_rate: replacing the params of built
+        # tables gives the tables a fresh build gives, bit for bit
+        p2 = reduced_tables.params.replace(**change)
+        got = dataclasses.replace(reduced_tables, params=p2)
+        want = kinetics.build_tables(
+            reduced_table.omega, reduced_table.gamma_conf, atoms.build_grid(p2), p2
+        )
+        arrays = [k for k, v in vars(want).items() if isinstance(v, np.ndarray)]
+        assert {"Q", "B", "fermi", "pump", "W_colsum", "a0", "a1", "b0", "b1"} <= set(arrays)
+        for name in arrays:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.w_max == want.w_max and got.params == p2
+        # and the new rate reaches the rhs constants
+        assert not np.array_equal(
+            np.concatenate([got.a0, got.b0, got.b1]),
+            np.concatenate([reduced_tables.a0, reduced_tables.b0, reduced_tables.b1]),
+        )
+
     def test_empty_inputs_rejected(self):
         p = PhysicalParams()
         empty = np.array([])
@@ -111,7 +140,7 @@ class TestRhs:
         r = kinetics.rhs(np.zeros(t.n_freqs + t.n_modes), t)
         dn, dN = t.split(r)
         assert np.array_equal(dN, np.zeros(t.n_modes))
-        assert np.array_equal(dn, t.gamma_r * t.fermi)
+        assert np.array_equal(dn, p.relaxation_rate * t.fermi)
         assert np.all(dn > 0.0)
 
     def test_single_pair_stimulated_magnitude(self):
@@ -120,8 +149,9 @@ class TestRhs:
             np.array([2.0e14]), np.array([0.5]), np.array([2.0e14]), p
         )
         t = dataclasses.replace(
-            t, gamma_r=0.0, gamma_c=0.0, pump=np.zeros(1)
+            t, params=p.replace(relaxation_rate=0.0, photon_loss_rate=0.0, pump_amplitude=0.0)
         )
+        assert np.array_equal(t.pump, np.zeros(1))
         r = kinetics.rhs(np.array([0.25, 0.0]), t)
         assert r[1] == pytest.approx(p.g_photon * 2.0e14 * 0.5 * 0.25, rel=1e-14)
 
@@ -131,8 +161,8 @@ class TestRhs:
         t = pair_tables(photon_loss_rate=0.0, pump_amplitude=0.0)
         y = np.concatenate([t.fermi, [BE_EDGE_400K]])
         r = kinetics.rhs(y, t)
-        scale = t.g_photon * t.W[0, 0]
-        assert abs(r[0]) <= 1e-12 * t.g_atom * t.W[0, 0]
+        scale = t.params.g_photon * t.W[0, 0]
+        assert abs(r[0]) <= 1e-12 * t.params.g_atom * t.W[0, 0]
         assert abs(r[1]) <= 1e-12 * scale
 
     def test_rejects_non_finite_state(self, reduced_tables):
@@ -161,8 +191,8 @@ class TestRhs:
         )
         r = kinetics.rhs(y, t)
         dn, dN = t.split(r)
-        e_dot = t.atoms_per_site * np.sum(dn) + np.sum(dN)
-        scale = t.atoms_per_site * np.sum(np.abs(dn)) + np.sum(np.abs(dN))
+        e_dot = p.atoms_per_site * np.sum(dn) + np.sum(dN)
+        scale = p.atoms_per_site * np.sum(np.abs(dn)) + np.sum(np.abs(dN))
         assert abs(e_dot) <= 1e-12 * max(scale, 1.0)
 
     @given(st.integers(0, 2**32 - 1))
@@ -206,11 +236,15 @@ class TestRhs:
 def rate_terms(y: np.ndarray, t: kinetics.CouplingTables):
     """Every term of the module docstring's two rate equations, summed directly."""
     n, N = t.split(y)
-    W = t.W
+    W, p = t.W, t.params
     emit = (2.0 * n - 1.0) * np.sum(W * N, axis=1) + n * np.sum(W, axis=1)
-    electron = (-t.g_atom * emit, -t.gamma_r * (n - t.fermi), t.pump * (1.0 - n))
+    electron = (-p.g_atom * emit, -p.relaxation_rate * (n - t.fermi), t.pump * (1.0 - n))
     gain = N * np.sum(W * (2.0 * n - 1.0)[:, None], axis=0)
-    photon = (t.g_photon * gain, t.g_photon * np.sum(W * n[:, None], axis=0), -t.gamma_c * N)
+    photon = (
+        p.g_photon * gain,
+        p.g_photon * np.sum(W * n[:, None], axis=0),
+        -p.photon_loss_rate * N,
+    )
     return electron, photon
 
 
@@ -252,8 +286,8 @@ def dense_jacobian(y: np.ndarray, t: kinetics.CouplingTables) -> np.ndarray:
     against finite differences)."""
     n, N = t.split(y)
     J = np.diag(kinetics.affine_coefficients(y, t)[0])
-    J[: t.n_freqs, t.n_freqs :] = -t.g_atom * t.W * (2.0 * n - 1.0)[:, None]
-    J[t.n_freqs :, : t.n_freqs] = t.g_photon * t.W.T * (2.0 * N + 1.0)[:, None]
+    J[: t.n_freqs, t.n_freqs :] = -t.params.g_atom * t.W * (2.0 * n - 1.0)[:, None]
+    J[t.n_freqs :, : t.n_freqs] = t.params.g_photon * t.W.T * (2.0 * N + 1.0)[:, None]
     return J
 
 
@@ -308,7 +342,7 @@ class TestRangeBasis:
         assert t.Q.shape == (t.n_freqs, rank) and t.B.shape == (rank, t.n_modes)
         assert np.abs(t.Q.T @ t.Q - np.eye(rank)).max() <= 1e-14
         # B = (Q^T L) diag(Omega Gamma), Q^T L summed over L's row blocks
-        blocks = kinetics._row_blocks(t.omega_atoms, t.omega_modes, t.dephasing_rate)
+        blocks = kinetics._row_blocks(t.omega_atoms, t.omega_modes, t.params.dephasing_rate)
         QtL = sum(t.Q[rows].T @ L for rows, L in blocks)
         assert np.array_equal(t.B, QtL * (t.omega_modes * t.gamma_conf))
         err = np.linalg.norm(t.W - t.Q @ t.B)
@@ -419,7 +453,7 @@ class TestTotalExcitation:
     def test_full_inversion(self, reduced_tables):
         t = reduced_tables
         y = np.concatenate([np.ones(t.n_freqs), np.zeros(t.n_modes)])
-        assert kinetics.total_excitation(y, t) == t.atoms_per_site * t.n_freqs
+        assert kinetics.total_excitation(y, t) == t.params.atoms_per_site * t.n_freqs
 
 
 class TestQuasiSteadyPhoton:
@@ -442,9 +476,9 @@ class TestQuasiSteadyPhoton:
     def test_loss_lowers_fixed_point(self):
         t = pair_tables(pump_amplitude=0.0)
         lossless = kinetics.quasi_steady_photon(
-            t.fermi, dataclasses.replace(t, gamma_c=0.0)
+            t.fermi, dataclasses.replace(t, params=t.params.replace(photon_loss_rate=0.0))
         )
         lossy = kinetics.quasi_steady_photon(
-            t.fermi, dataclasses.replace(t, gamma_c=1e15)
+            t.fermi, dataclasses.replace(t, params=t.params.replace(photon_loss_rate=1e15))
         )
         assert lossy[0] < lossless[0]

@@ -1,6 +1,6 @@
 """Spectral transform checks.
 
-Raw emission is an exact per-mode product, so most oracles are closed-form:
+The per-mode emitted weight is an exact product, so most oracles are closed-form:
 Lorentzian peak/half-width values, the 1-D Planck curve at hand-computed
 points, and the Lorentzian area sum rule for the detector convolution. The
 detector's proxy-mode summation is checked per sample against the dense
@@ -34,19 +34,20 @@ def toy(omega, gamma):
 
 class TestSpectrumType:
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            spectra.Spectrum(np.array([1.0]), np.array([1.0]), "psd")
+        for kind in ("psd", "raw"):
+            with pytest.raises(ValueError):
+                spectra.Spectrum(np.array([1.0]), np.array([1.0]), kind)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            spectra.Spectrum(np.array([1.0, 2.0]), np.array([1.0]), "raw")
+            spectra.Spectrum(np.array([1.0, 2.0]), np.array([1.0]), "detector")
 
     def test_decreasing_omega(self):
         with pytest.raises(ValueError):
-            spectra.Spectrum(np.array([2.0, 1.0]), np.array([0.0, 0.0]), "raw")
+            spectra.Spectrum(np.array([2.0, 1.0]), np.array([0.0, 0.0]), "detector")
 
     def test_degenerate_omega_allowed(self):
-        s = spectra.Spectrum(np.array([1.0, 1.0, 2.0]), np.zeros(3), "raw")
+        s = spectra.Spectrum(np.array([1.0, 1.0, 2.0]), np.zeros(3), "detector")
         assert s.omega.size == 3
 
     def test_negative_values_rejected_except_ratio(self):
@@ -57,28 +58,29 @@ class TestSpectrumType:
 
 
 class TestEmissionRaw:
+    """Raw emission, before any detector: the per-mode weights of
+    outside_weights."""
+
     def test_zero_photons(self):
         t = toy([1e14, 2e14], [0.3, 0.6])
-        s = spectra.emission_raw(np.zeros(2), t)
-        assert s.kind == "raw"
-        assert np.array_equal(s.omega, t.omega)
-        assert np.all(s.value == 0.0)
+        w = spectra.outside_weights(np.zeros(2), t)
+        assert w.shape == t.omega.shape
+        assert np.all(w == 0.0)
 
     def test_fully_confined_mode_emits_nothing(self):
         t = toy([1e14], [1.0])
-        s = spectra.emission_raw(np.array([7.3]), t)
-        assert s.value[0] == 0.0
+        assert spectra.outside_weights(np.array([7.3]), t)[0] == 0.0
 
     def test_product_value(self):
         t = toy([9.43e13], [0.76])
-        s = spectra.emission_raw(np.array([0.198]), t)
-        assert s.value[0] == pytest.approx(9.43e13 * 0.198 * 0.24, rel=1e-14)
-        assert s.value[0] == pytest.approx(4.48e12, rel=1e-3)
+        w = spectra.outside_weights(np.array([0.198]), t)
+        assert w[0] == pytest.approx(9.43e13 * 0.198 * 0.24, rel=1e-14)
+        assert w[0] == pytest.approx(4.48e12, rel=1e-3)
 
     def test_dimension_mismatch(self):
         t = toy([1e14, 2e14], [0.3, 0.6])
         with pytest.raises(ValueError):
-            spectra.emission_raw(np.zeros(3), t)
+            spectra.outside_weights(np.zeros(3), t)
 
 
 class TestEmissionDetector:
@@ -104,8 +106,8 @@ class TestEmissionDetector:
         t = toy([1e14, 2e14, 3e14], [0.1, 0.5, 0.9])
         n = np.array([0.4, 0.2, 0.1])
         det = spectra.emission_detector(n, t, t.omega, gamma_d=1e-2)
-        raw = spectra.emission_raw(n, t)
-        assert np.max(np.abs(det.value / raw.value - 1.0)) < 1e-12
+        weights = spectra.outside_weights(n, t)
+        assert np.max(np.abs(det.value / weights - 1.0)) < 1e-12
 
     def test_linear_in_photon_numbers(self):
         t = toy([1e14, 2e14, 3e14], [0.1, 0.5, 0.9])
@@ -121,14 +123,14 @@ class TestEmissionDetector:
 
     def test_lorentzian_area_sum_rule(self):
         # one well-resolved mode mid-window: Riemann sum of the detector
-        # spectrum equals pi * gamma_d * (raw total) up to edge-tail loss
+        # spectrum equals pi * gamma_d * (total outside weight) up to edge-tail loss
         t = toy([2.5e14], [0.2])
         n = np.array([0.7])
         gd = 5e11
         samples = np.linspace(5e14 / 20000, 5e14, 20000)
         det = spectra.emission_detector(n, t, samples, gamma_d=gd)
         lhs = det.value.sum() * (samples[1] - samples[0])
-        rhs = np.pi * gd * spectra.emission_raw(n, t).value.sum()
+        rhs = np.pi * gd * spectra.outside_weights(n, t).sum()
         assert lhs == pytest.approx(rhs, rel=0.1)
 
     def test_default_grid(self):

@@ -26,7 +26,8 @@ def pair():
     w0 = 9.43e13
     t = kinetics.build_tables(np.array([w0]), np.array([0.76]), np.array([w0]), p)
     f = t.fermi[0]
-    n_star = (t.gamma_r * f + t.pump[0]) / (t.gamma_r + t.pump[0])
+    gr = t.params.relaxation_rate
+    n_star = (gr * f + t.pump[0]) / (gr + t.pump[0])
     return t, np.array([n_star, n_star / (1.0 - 2.0 * n_star)])
 
 
