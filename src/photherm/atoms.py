@@ -24,8 +24,6 @@ def build_grid(params: PhysicalParams) -> np.ndarray:
     reference diverge and omega_max is the photon search cutoff.
     """
     n_freqs = params.n_atom_freqs
-    if n_freqs < 1:
-        raise ValueError("need at least one atom frequency")
     delta = params.omega_max / (n_freqs + 1)
     return delta * np.arange(1, n_freqs + 1, dtype=float)
 

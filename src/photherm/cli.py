@@ -4,7 +4,9 @@ Subcommands run one stage each (``modes``, ``bands``, ``dynamics``,
 ``steady``, ``spectrum``) or a whole dependency-ordered run (``pipeline``).
 Global flags select the parameter source: a regime preset, a JSON config
 file, and repeatable ``--param key=value`` overrides, applied in that order
-of increasing precedence, plus the reduced/full geometry scale.  BLAS and
+of increasing precedence, plus the reduced/full geometry scale.  The stage
+flags carry no defaults of their own: the flags given become the fields of
+``pipeline.StageOptions`` and every other field keeps its default.  BLAS and
 OpenMP thread counts are set in the environment (``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS``) before the interpreter starts.
 """
@@ -12,16 +14,12 @@ OpenMP thread counts are set in the environment (``OPENBLAS_NUM_THREADS``,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 from .params import PRESETS, SCALES, build_params
-from .pipeline import STAGE_DEFAULTS, StageError, run_pipeline
-
-# parsed arguments that select the parameters or the run, not a stage option
-NOT_STAGE_OPTIONS = (
-    "command", "config", "param", "preset", "scale", "out_dir", "stages", "method"
-)
+from .pipeline import StageError, StageOptions, run_pipeline
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,28 +54,19 @@ def build_parser() -> argparse.ArgumentParser:
         "one-dimensional photonic crystal cavity",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    stage = dict(parents=[common], argument_default=argparse.SUPPRESS)
 
-    sub.add_parser("modes", parents=[common], help="eigenmode census CSV")
-    sub.add_parser(
-        "bands", parents=[common], help="dispersion and gap-interval CSVs"
+    sub.add_parser("modes", help="eigenmode census CSV", **stage)
+    sub.add_parser("bands", help="dispersion and gap-interval CSVs", **stage)
+    _add_dynamics_flags(
+        sub.add_parser("dynamics", help="integrate occupations in time", **stage)
+    )
+    _add_steady_flags(sub.add_parser("steady", help="solve the fixed point", **stage))
+    _add_spectrum_flags(
+        sub.add_parser("spectrum", help="emission spectrum from a state file", **stage)
     )
 
-    dyn = sub.add_parser(
-        "dynamics", parents=[common], help="integrate occupations in time"
-    )
-    _add_dynamics_flags(dyn)
-
-    st = sub.add_parser("steady", parents=[common], help="solve the fixed point")
-    _add_steady_flags(st)
-
-    sp = sub.add_parser(
-        "spectrum", parents=[common], help="emission spectrum from a state file"
-    )
-    _add_spectrum_flags(sp)
-
-    pipe = sub.add_parser(
-        "pipeline", parents=[common], help="run stages in dependency order"
-    )
+    pipe = sub.add_parser("pipeline", help="run stages in dependency order", **stage)
     pipe.add_argument(
         "--stages",
         default="modes,dynamics,steady,spectrum",
@@ -90,11 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_dynamics_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--t-end", type=float, default=STAGE_DEFAULTS["t_end"], help="horizon in seconds"
-    )
-    p.add_argument("--rtol", type=float, default=STAGE_DEFAULTS["rtol"])
-    p.add_argument("--atol", type=float, default=STAGE_DEFAULTS["atol"])
+    p.add_argument("--t-end", type=float, help="horizon in seconds")
+    p.add_argument("--rtol", type=float)
+    p.add_argument("--atol", type=float)
     p.add_argument(
         "--method",
         choices=("exponential-diagonal",),
@@ -106,20 +93,15 @@ def _add_dynamics_flags(p: argparse.ArgumentParser) -> None:
         dest="probe_freqs",
         type=float,
         action="append",
-        default=[],
         metavar="RAD_PER_S",
         help="record the mode/atom nearest this frequency (repeatable; "
         "default: band-edge and in-gap probe modes)",
     )
-    p.add_argument(
-        "--points-per-decade", type=int, default=STAGE_DEFAULTS["points_per_decade"]
-    )
+    p.add_argument("--points-per-decade", type=int)
 
 
 def _add_steady_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--tol", type=float, default=STAGE_DEFAULTS["tol"], help="scaled residual target"
-    )
+    p.add_argument("--tol", type=float, help="scaled residual target")
     p.add_argument(
         "--seed-from",
         metavar="STATE_CSV",
@@ -140,7 +122,7 @@ def _add_spectrum_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--ratio", action="store_true", help="also write spectrum over blackbody"
     )
-    p.add_argument("--n-samples", type=int, default=STAGE_DEFAULTS["n_samples"])
+    p.add_argument("--n-samples", type=int)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -157,7 +139,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "pipeline"
         else [args.command]
     )
-    options = {k: v for k, v in vars(args).items() if k not in NOT_STAGE_OPTIONS}
+    fields = {f.name for f in dataclasses.fields(StageOptions)}
+    options = StageOptions(**{k: v for k, v in vars(args).items() if k in fields})
     try:
         manifest = run_pipeline(
             params,

@@ -50,7 +50,8 @@ class CouplingTables:
     by build_tables, with w_max = max W.  Q, B and w_max depend only on the
     atom grid, the modes and params.dephasing_rate, so tables for params
     that differ in any other rate share them (dataclasses.replace with new
-    params).  Every rate and coupling constant is read from params; fermi
+    params); a Q B that is not W for params.dephasing_rate is a ValueError.
+    Every rate and coupling constant is read from params; fermi
     and pump (the equilibrium and pumping rates on the atom grid), W_colsum
     and a0, a1, b0, b1 (the packed rhs constants, see the module docstring)
     are derived from the other fields.
@@ -73,6 +74,19 @@ class CouplingTables:
 
     def __post_init__(self):
         nf, nm, p = self.n_freqs, self.n_modes, self.params
+        # Q B must be this dephasing_rate's W: one column, that of the largest
+        # mode weight, is checked against the exact Lorentzian (W is not built)
+        weights = self.omega_modes * self.gamma_conf
+        k = int(np.argmax(weights))
+        exact = weights[k] / (
+            1.0 + ((self.omega_atoms - self.omega_modes[k]) / p.dephasing_rate) ** 2
+        )
+        err = float(np.abs(self.Q @ self.B[:, k] - exact).max())
+        if not err <= 1e-10 * self.w_max:
+            raise ValueError(
+                f"range basis differs from W by {err:.3e} (w_max {self.w_max:.3e}); "
+                f"it was built for another dephasing_rate than {p.dephasing_rate!r}"
+            )
         self.fermi = atoms.fermi_dirac(self.omega_atoms, p.temperature)
         self.pump = atoms.pump_rate(self.omega_atoms, p.temperature, p)
         self.W_colsum = self.Q.sum(axis=0) @ self.B

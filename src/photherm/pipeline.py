@@ -7,10 +7,11 @@ function of the geometry — is cached under ``<out-dir>/cache/`` keyed by the
 geometry parameters, so later runs and dependent stages reuse it.
 
 Every run writes ``run-manifest.json`` recording the resolved parameters,
-tool version, produced files, and per-stage metrics; every CSV references
-that manifest in its header.  Data files never contain timestamps, so a
-repeated run with the same configuration reproduces them byte for byte
-(only the manifest's wall-clock metrics differ).
+every ``StageOptions`` field, tool version, produced files, and per-stage
+metrics; every CSV references that manifest in its header.  Data files
+never contain timestamps, so a repeated run with the same configuration
+reproduces them byte for byte (only the manifest's wall-clock metrics
+differ).
 """
 
 from __future__ import annotations
@@ -30,16 +31,28 @@ from .params import PhysicalParams
 
 MANIFEST_NAME = "run-manifest.json"
 STAGE_ORDER = ("modes", "bands", "dynamics", "steady", "spectrum")
-# Stage options a run falls back on when it is not given them; the
-# command-line flags take their defaults from here.
-STAGE_DEFAULTS = {
-    "t_end": 1e-5,
-    "rtol": 1e-4,
-    "atol": 1e-14,
-    "points_per_decade": POINTS_PER_DECADE,
-    "tol": 1e-10,
-    "n_samples": spectra.DEFAULT_N_SAMPLES,
-}
+
+
+@dataclass(frozen=True)
+class StageOptions:
+    """Every stage option and its default, written nowhere else; an unknown
+    name is a TypeError.  Empty probe_freqs (rad/s) select the band-edge and
+    in-gap probe modes; seed_from and input name state snapshot files."""
+
+    # dynamics
+    t_end: float = 1e-5
+    rtol: float = 1e-4
+    atol: float = 1e-14
+    points_per_decade: int = POINTS_PER_DECADE
+    probe_freqs: tuple[float, ...] = ()
+    # steady
+    tol: float = 1e-10
+    seed_from: str | None = None
+    # spectrum
+    input: str | None = None
+    n_samples: int = spectra.DEFAULT_N_SAMPLES
+    blackbody: bool = False
+    ratio: bool = False
 
 
 class StageError(RuntimeError):
@@ -74,7 +87,9 @@ class RunContext:
     params: PhysicalParams
     out_dir: Path
     manifest: RunManifest
+    options: StageOptions
     mode_table: modes.ModeTable | None = None
+    structure: bands.BandStructure | None = None
     tables: kinetics.CouplingTables | None = None
     final_state: np.ndarray | None = None
 
@@ -89,11 +104,6 @@ class RunContext:
         meta.update(extra)
         return meta
 
-    def option(self, name: str):
-        """The stage option the run was given, else its STAGE_DEFAULTS value."""
-        value = self.manifest.options.get(name)
-        return STAGE_DEFAULTS.get(name) if value is None else value
-
     def get_modes(self) -> modes.ModeTable:
         if self.mode_table is None:
             self.mode_table, from_cache = load_or_solve_modes(self.params, self.out_dir)
@@ -101,6 +111,11 @@ class RunContext:
                 cache_hit=from_cache, refine_passes=self.mode_table.passes
             )
         return self.mode_table
+
+    def get_bands(self) -> bands.BandStructure:
+        if self.structure is None:
+            self.structure = bands.band_structure(self.get_modes())
+        return self.structure
 
     def get_tables(self) -> kinetics.CouplingTables:
         if self.tables is None:
@@ -186,8 +201,7 @@ def stage_modes(ctx: RunContext) -> list[Path]:
 
 
 def stage_bands(ctx: RunContext) -> list[Path]:
-    table = ctx.get_modes()
-    structure = bands.band_structure(table)
+    structure = ctx.get_bands()
     band_csv = write_csv(
         ctx.out_dir / "bands.csv",
         {"k": structure.k, "omega": structure.omega},
@@ -210,9 +224,9 @@ def _probe_indices(ctx: RunContext) -> tuple[list[int], list[int]]:
     probe modes."""
     table = ctx.get_modes()
     t = ctx.get_tables()
-    freqs = ctx.option("probe_freqs") or []
+    freqs = ctx.options.probe_freqs
     if not freqs:
-        reps = bands.representatives(table, bands.band_structure(table))
+        reps = bands.representatives(table, ctx.get_bands())
         freqs = [float(table.omega[reps["band_edge"]]), float(table.omega[reps["in_gap"]])]
     mode_idx = [int(np.argmin(np.abs(table.omega - f))) for f in freqs]
     atom_idx = [int(np.argmin(np.abs(t.omega_atoms - f))) for f in freqs]
@@ -220,18 +234,15 @@ def _probe_indices(ctx: RunContext) -> tuple[list[int], list[int]]:
 
 
 def stage_dynamics(ctx: RunContext) -> list[Path]:
-    t = ctx.get_tables()
-    t_end = float(ctx.option("t_end"))
-    rtol = float(ctx.option("rtol"))
-    atol = float(ctx.option("atol"))
+    t, opt = ctx.get_tables(), ctx.options
     y0 = np.zeros(t.n_freqs + t.n_modes)
     traj = integrate(
         y0,
-        t_end,
+        opt.t_end,
         t,
-        rtol=rtol,
-        atol=atol,
-        points_per_decade=int(ctx.option("points_per_decade")),
+        rtol=opt.rtol,
+        atol=opt.atol,
+        points_per_decade=opt.points_per_decade,
     )
     mode_idx, atom_idx = _probe_indices(ctx)
     columns: dict = {"t": traj.times}
@@ -245,9 +256,9 @@ def stage_dynamics(ctx: RunContext) -> list[Path]:
         ctx.csv_metadata(
             content="photon and electron occupation histories",
             method=traj.metadata["method"],
-            rtol=rtol,
-            atol=atol,
-            t_end=t_end,
+            rtol=opt.rtol,
+            atol=opt.atol,
+            t_end=opt.t_end,
         ),
     )
     state_csv = _write_state(ctx, ctx.out_dir / "dynamics-state.csv", traj.final)
@@ -259,7 +270,7 @@ def stage_dynamics(ctx: RunContext) -> list[Path]:
 def stage_steady(ctx: RunContext) -> list[Path]:
     t = ctx.get_tables()
     table = ctx.get_modes()
-    seed_from = ctx.option("seed_from")
+    seed_from, tol = ctx.options.seed_from, ctx.options.tol
     if seed_from:
         guess = _read_state(ctx, seed_from)
         seed_kind = f"file:{seed_from}"
@@ -269,7 +280,6 @@ def stage_steady(ctx: RunContext) -> list[Path]:
     else:
         guess = steady.seed_guess(t)
         seed_kind = "analytic"
-    tol = float(ctx.option("tol"))
     result = steady.solve_steady(guess, t, tol=tol)
     # the solver converges through the range basis Q B; the exact W
     # certifies its state once, so that tol bounds the exact residual too
@@ -321,7 +331,7 @@ def stage_steady(ctx: RunContext) -> list[Path]:
 
 def stage_spectrum(ctx: RunContext) -> list[Path]:
     table = ctx.get_modes()
-    source = ctx.option("input")
+    source, opt = ctx.options.input, ctx.options
     if source:
         state = _read_state(ctx, source)
     elif ctx.final_state is not None:
@@ -339,7 +349,7 @@ def stage_spectrum(ctx: RunContext) -> list[Path]:
             )
     photons = state[ctx.params.n_atom_freqs :]
     gamma_d = float(ctx.params.detector_width)
-    samples = spectra.default_samples(ctx.params.omega_max, int(ctx.option("n_samples")))
+    samples = spectra.default_samples(ctx.params.omega_max, opt.n_samples)
     det = spectra.emission_detector(photons, table, samples, gamma_d=gamma_d)
     outputs = [
         write_csv(
@@ -349,9 +359,9 @@ def stage_spectrum(ctx: RunContext) -> list[Path]:
         )
     ]
     blackbody = None
-    if ctx.option("blackbody") or ctx.option("ratio"):
+    if opt.blackbody or opt.ratio:
         blackbody = spectra.blackbody_1d(samples, ctx.params.temperature)
-    if ctx.option("blackbody"):
+    if opt.blackbody:
         outputs.append(
             write_csv(
                 ctx.out_dir / "spectrum-blackbody.csv",
@@ -359,7 +369,7 @@ def stage_spectrum(ctx: RunContext) -> list[Path]:
                 ctx.csv_metadata(kind=blackbody.kind, temperature=ctx.params.temperature),
             )
         )
-    if ctx.option("ratio"):
+    if opt.ratio:
         ratio = spectra.spectral_ratio(det, blackbody)
         outputs.append(
             write_csv(
@@ -385,18 +395,21 @@ def run_pipeline(
     params: PhysicalParams,
     stages: list[str],
     out_dir: str | Path,
-    options: dict | None = None,
+    options: StageOptions = StageOptions(),
     preset_name: str | None = None,
 ) -> RunManifest:
     """Execute the requested stages in dependency order and write a manifest.
 
     Requesting "modes" runs "bands" after it, so a census always comes with
     its band structure; each stage writes and lists only its own files.
-    An empty stage list or an unknown stage name raises ValueError before
-    anything runs.  A stage failure propagates as StageError carrying the
+    An empty stage list or an unknown stage name raises ValueError, and
+    options that are not a StageOptions raise TypeError, before anything
+    runs.  A stage failure propagates as StageError carrying the
     stage name; files written by earlier stages and the manifest (with the
     failure recorded) remain on disk.
     """
+    if not isinstance(options, StageOptions):
+        raise TypeError(f"options must be a StageOptions, not {type(options).__name__}")
     if not stages:
         raise ValueError(f"no stages requested; choose from {list(STAGE_ORDER)}")
     unknown = [s for s in stages if s not in STAGE_FUNCTIONS]
@@ -410,9 +423,9 @@ def run_pipeline(
         preset=preset_name,
         scale=params.scale,
         stages=ordered,
-        options=dict(options or {}),
+        options=asdict(options),
     )
-    ctx = RunContext(params=params, out_dir=out_dir, manifest=manifest)
+    ctx = RunContext(params=params, out_dir=out_dir, manifest=manifest, options=options)
     try:
         for name in ordered:
             start = time.perf_counter()

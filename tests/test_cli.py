@@ -6,6 +6,8 @@ comparing every data file byte for byte (the manifest is excluded: its
 wall-clock metrics legitimately vary).
 """
 
+import argparse
+import dataclasses
 import importlib
 import json
 import os
@@ -23,6 +25,7 @@ from photherm import __version__, bands, kinetics, modes, pipeline
 from photherm.cli import build_parser, main
 from photherm.csvio import read_csv, write_csv
 from photherm.params import apply_scale, preset
+from photherm.pipeline import StageOptions
 
 FAST = [
     "--preset",
@@ -49,6 +52,13 @@ DATA_FILES = [
     "spectrum-blackbody.csv",
     "spectrum-ratio.csv",
 ]
+# parsed arguments that select the parameters or the run, not a stage option
+RUN_SELECTORS = {"command", "config", "param", "preset", "scale", "out_dir", "stages", "method"}
+
+
+def as_recorded(options):
+    """The manifest's JSON form of a StageOptions."""
+    return json.loads(json.dumps(dataclasses.asdict(options)))
 
 
 def run_pipeline_dir(out_dir, extra=()):
@@ -81,6 +91,9 @@ class TestPipeline:
         assert m["tool_version"] == __version__
         assert m["stages"] == ["modes", "bands", "dynamics", "steady", "spectrum"]
         assert m["preset"] == "eq-strong" and m["scale"] == "reduced"
+        assert m["options"] == as_recorded(
+            StageOptions(t_end=1e-12, rtol=1e-3, blackbody=True, ratio=True)
+        )
         assert m["metrics"]["steady"]["converged"] is True
         # a fresh census records the passes of its root refinement, and the
         # band structure those of its gap edges: none without planes
@@ -164,6 +177,15 @@ class TestPipeline:
         m = json.loads((tmp_path / "run-manifest.json").read_text())
         meta, _ = read_csv(tmp_path / "modes.csv")
         assert m["scale"] == meta["scale"] == "reduced"
+
+    def test_band_structure_built_once(self, tmp_path, monkeypatch):
+        # stage_bands and the dynamics probe modes share one band structure
+        calls = []
+        build = bands.band_structure
+        monkeypatch.setattr(bands, "band_structure", lambda t: calls.append(t) or build(t))
+        code = main(["pipeline", "--out-dir", str(tmp_path), *FAST, "--stages", "modes,dynamics"])
+        assert code == 0
+        assert len(calls) == 1
 
     def test_modes_only_stages(self, tmp_path):
         code = main(["pipeline", "--out-dir", str(tmp_path), *FAST, "--stages", "modes"])
@@ -400,6 +422,33 @@ class TestSingleCommands:
         assert len(probe_names) == 2
         freqs = sorted(float(n[2:]) for n in probe_names)
         assert abs(freqs[0] - 1e14) < 1e12 and abs(freqs[1] - 3e14) < 1e12
+
+
+class TestStageOptions:
+    def test_every_parsed_name_is_an_option_or_a_run_selector(self):
+        fields = {f.name for f in dataclasses.fields(StageOptions)}
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        seen = set()
+        for command, parser in sub.choices.items():
+            dests = {a.dest for a in parser._actions} - {"help"}
+            assert dests <= fields | RUN_SELECTORS, (command, dests - fields - RUN_SELECTORS)
+            seen |= dests
+        # and every option has a flag
+        assert fields <= seen, fields - seen
+
+    def test_run_records_every_resolved_option(self, tmp_path):
+        assert main(["modes", "--out-dir", str(tmp_path), "--scale", "reduced"]) == 0
+        m = json.loads((tmp_path / "run-manifest.json").read_text())
+        assert m["options"] == as_recorded(StageOptions())
+
+    def test_unknown_option_raises_before_any_file(self, tmp_path):
+        with pytest.raises(TypeError, match="n_sampels"):
+            StageOptions(n_sampels=5)
+        params = apply_scale(preset("eq-strong"), "reduced")
+        with pytest.raises(TypeError, match="StageOptions"):
+            pipeline.run_pipeline(params, ["steady"], tmp_path, options={"gamma_d": 1e12})
+        assert not list(tmp_path.iterdir())
 
 
 class TestArgumentHandling:

@@ -122,6 +122,16 @@ class TestBuildTables:
             np.concatenate([reduced_tables.a0, reduced_tables.b0, reduced_tables.b1]),
         )
 
+    @pytest.mark.parametrize("factor", [0.5, 1.0 + 1e-6, 1.0 - 1e-6])
+    def test_basis_of_another_dephasing_rate_rejected(self, reduced_tables, factor):
+        # Q and B are the basis of one Lorentzian: params with another
+        # dephasing_rate cannot take them over
+        p2 = reduced_tables.params.replace(
+            dephasing_rate=factor * reduced_tables.params.dephasing_rate
+        )
+        with pytest.raises(ValueError, match="another dephasing_rate"):
+            dataclasses.replace(reduced_tables, params=p2)
+
     def test_empty_inputs_rejected(self):
         p = PhysicalParams()
         empty = np.array([])

@@ -1,8 +1,11 @@
-"""The README's Python quick start runs as written, so the documented API
+"""The README's Python examples run as written, so the documented API
 cannot drift from the code."""
 
+import dataclasses
 import re
 from pathlib import Path
+
+from photherm.pipeline import StageOptions
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -18,3 +21,18 @@ def test_quick_start_runs(capsys):
     assert namespace["fixed"].converged
     assert namespace["detector"].kind == "detector"
     assert capsys.readouterr().out.startswith("True ")
+
+
+def test_pipeline_example_runs(tmp_path, monkeypatch, capsys):
+    block = re.search(
+        r"## Command line\n.*?```python\n(.*?)```", README.read_text(), re.S
+    )
+    assert block, "README has no Python pipeline example"
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(block.group(1), str(README), "exec"), namespace)
+    manifest = namespace["manifest"]
+    assert manifest.options == dataclasses.asdict(StageOptions(tol=1e-12))
+    assert manifest.metrics["steady"]["converged"]
+    assert (tmp_path / namespace["out_dir"] / "steady-state.csv").exists()
+    assert capsys.readouterr().out == "1e-12 True\n"
