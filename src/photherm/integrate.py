@@ -137,8 +137,13 @@ def integrate(
     `max_steps` attempts, a failed BDF step or a snapshot beyond the
     simplex clamp slack raise RuntimeError.
     """
-    if t_end <= 0.0 or rtol <= 0.0 or atol < 0.0:
-        raise ValueError("t_end and tolerances must be positive")
+    # written as the bounds that must hold, so that NaN fails them too
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    if not 0.0 < rtol < math.inf:
+        raise ValueError(f"rtol must be positive and finite, got {rtol}")
+    if not 0.0 <= atol < math.inf:
+        raise ValueError(f"atol must be nonnegative and finite, got {atol}")
     if times is None:
         times = log_times(t_end, points_per_decade)
     times = np.asarray(times, dtype=float)

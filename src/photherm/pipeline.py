@@ -6,6 +6,11 @@ into the output directory.  The eigenmode census — the only expensive pure
 function of the geometry — is cached under ``<out-dir>/cache/`` keyed by the
 geometry parameters, so later runs and dependent stages reuse it.
 
+Within one run the stages share a ``RunContext``: its ``census``,
+``structure`` (band structure) and ``tables`` (coupling tables) are each
+built once, on first use, and every CSV goes through its one writer,
+``RunContext.write``, which heads the file with the run's provenance.
+
 Every run writes ``run-manifest.json`` recording the resolved parameters,
 every ``StageOptions`` field, tool version, produced files, and per-stage
 metrics; every CSV references that manifest in its header.  Data files
@@ -19,6 +24,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +36,6 @@ from .integrate import POINTS_PER_DECADE, integrate
 from .params import PhysicalParams
 
 MANIFEST_NAME = "run-manifest.json"
-STAGE_ORDER = ("modes", "bands", "dynamics", "steady", "spectrum")
 
 
 @dataclass(frozen=True)
@@ -82,49 +87,48 @@ class RunManifest:
 
 @dataclass
 class RunContext:
-    """Shared state threaded through the stages of one run."""
+    """Shared state threaded through the stages of one run; the census, its
+    band structure and the coupling tables are each built once, on first use."""
 
     params: PhysicalParams
     out_dir: Path
     manifest: RunManifest
     options: StageOptions
-    mode_table: modes.ModeTable | None = None
-    structure: bands.BandStructure | None = None
-    tables: kinetics.CouplingTables | None = None
     final_state: np.ndarray | None = None
 
-    def csv_metadata(self, **extra) -> dict:
-        meta = {
-            "tool": f"photherm {self.manifest.tool_version}",
-            "manifest": MANIFEST_NAME,
-            "params_digest": self.params.digest(),
-            "preset": self.manifest.preset or "",
-            "scale": self.params.scale,
-        }
-        meta.update(extra)
-        return meta
+    @cached_property
+    def census(self) -> modes.ModeTable:
+        table, from_cache = load_or_solve_modes(self.params, self.out_dir)
+        self.manifest.metrics.setdefault("modes", {}).update(
+            cache_hit=from_cache, refine_passes=table.passes
+        )
+        return table
 
-    def get_modes(self) -> modes.ModeTable:
-        if self.mode_table is None:
-            self.mode_table, from_cache = load_or_solve_modes(self.params, self.out_dir)
-            self.manifest.metrics.setdefault("modes", {}).update(
-                cache_hit=from_cache, refine_passes=self.mode_table.passes
-            )
-        return self.mode_table
+    @cached_property
+    def structure(self) -> bands.BandStructure:
+        return bands.band_structure(self.census)
 
-    def get_bands(self) -> bands.BandStructure:
-        if self.structure is None:
-            self.structure = bands.band_structure(self.get_modes())
-        return self.structure
+    @cached_property
+    def tables(self) -> kinetics.CouplingTables:
+        grid = atoms.build_grid(self.params)
+        return kinetics.build_tables(
+            self.census.omega, self.census.gamma_conf, grid, self.params
+        )
 
-    def get_tables(self) -> kinetics.CouplingTables:
-        if self.tables is None:
-            table = self.get_modes()
-            grid = atoms.build_grid(self.params)
-            self.tables = kinetics.build_tables(
-                table.omega, table.gamma_conf, grid, self.params
-            )
-        return self.tables
+    def write(self, name: str, columns: dict, **meta) -> Path:
+        """Write out_dir/name, provenance keys first in its header."""
+        return write_csv(
+            self.out_dir / name,
+            columns,
+            {
+                "tool": f"photherm {self.manifest.tool_version}",
+                "manifest": MANIFEST_NAME,
+                "params_digest": self.params.digest(),
+                "preset": self.manifest.preset or "",
+                "scale": self.params.scale,
+                **meta,
+            },
+        )
 
 
 def load_or_solve_modes(
@@ -145,47 +149,52 @@ def _class_labels(table: modes.ModeTable) -> np.ndarray:
     return np.where(table.is_crystal, "crystal", "cavity")
 
 
-def _write_state(ctx: RunContext, path: Path, state: np.ndarray) -> Path:
+def _write_state(ctx: RunContext, name: str, state: np.ndarray) -> Path:
     """Full kinetic state as (role, omega, value) rows; the snapshot format
     consumed by steady seeding and the spectrum stage."""
-    t = ctx.get_tables()
-    n_e, photons = t.split(state)
-    role = np.concatenate(
-        [np.full(t.n_freqs, "electron"), np.full(t.n_modes, "photon")]
-    )
-    omega = np.concatenate([t.omega_atoms, t.omega_modes])
-    return write_csv(
-        path,
-        {"role": role, "omega": omega, "value": np.concatenate([n_e, photons])},
-        ctx.csv_metadata(content="kinetic state snapshot"),
-    )
+    t = ctx.tables
+    columns = {
+        "role": np.repeat(["electron", "photon"], [t.n_freqs, t.n_modes]),
+        "omega": np.concatenate([t.omega_atoms, t.omega_modes]),
+        "value": state,
+    }
+    return ctx.write(name, columns, content="kinetic state snapshot")
 
 
 def _read_state(ctx: RunContext, path: str | Path) -> np.ndarray:
     """The packed state [n_e, N_k] of a snapshot file, checked against the
-    atom grid and census sizes (no coupling tables are built)."""
-    n_freqs, n_modes = ctx.params.n_atom_freqs, ctx.get_modes().n_modes
+    run's atom grid and census frequencies (no coupling tables are built)."""
     _, cols = read_csv(path)
     for need in ("role", "omega", "value"):
         if need not in cols:
             raise ValueError(f"{path}: missing column {need!r}")
-    n_e = cols["value"][cols["role"] == "electron"]
-    photons = cols["value"][cols["role"] == "photon"]
-    if n_e.size != n_freqs or photons.size != n_modes:
+    grid, census = atoms.build_grid(ctx.params), ctx.census.omega
+    electron, photon = cols["role"] == "electron", cols["role"] == "photon"
+    n_e, photons = cols["value"][electron], cols["value"][photon]
+    if n_e.size != grid.size or photons.size != census.size:
         raise ValueError(
             f"{path}: state holds {n_e.size} electron / {photons.size} photon "
-            f"rows, expected {n_freqs} / {n_modes}"
+            f"rows, expected {grid.size} / {census.size}"
         )
+    omega = cols["omega"]
+    if not (np.array_equal(omega[electron], grid) and np.array_equal(omega[photon], census)):
+        raise ValueError(f"{path}: frequencies differ from this run's atom grid or mode census")
     return np.concatenate([n_e, photons])
+
+
+def _given_state(ctx: RunContext, path: str | None) -> np.ndarray | None:
+    """The state of the snapshot file `path` if one is given, else this
+    run's latest state (None before dynamics or steady has run)."""
+    return _read_state(ctx, path) if path else ctx.final_state
 
 
 # --- stages -----------------------------------------------------------------
 
 
 def stage_modes(ctx: RunContext) -> list[Path]:
-    table = ctx.get_modes()
-    out = write_csv(
-        ctx.out_dir / "modes.csv",
+    table = ctx.census
+    out = ctx.write(
+        "modes.csv",
         {
             "index": np.arange(table.n_modes),
             "omega": table.omega,
@@ -194,23 +203,23 @@ def stage_modes(ctx: RunContext) -> list[Path]:
             "k_assigned": table.k_assigned,
             "class": _class_labels(table),
         },
-        ctx.csv_metadata(content="eigenmode census"),
+        content="eigenmode census",
     )
     ctx.manifest.metrics.setdefault("modes", {})["n_modes"] = int(table.n_modes)
     return [out]
 
 
 def stage_bands(ctx: RunContext) -> list[Path]:
-    structure = ctx.get_bands()
-    band_csv = write_csv(
-        ctx.out_dir / "bands.csv",
+    structure = ctx.structure
+    band_csv = ctx.write(
+        "bands.csv",
         {"k": structure.k, "omega": structure.omega},
-        ctx.csv_metadata(content="dispersion of crystal-class modes"),
+        content="dispersion of crystal-class modes",
     )
-    gap_csv = write_csv(
-        ctx.out_dir / "gaps.csv",
+    gap_csv = ctx.write(
+        "gaps.csv",
         {"omega_lower": structure.gaps[:, 0], "omega_upper": structure.gaps[:, 1]},
-        ctx.csv_metadata(content="band gap intervals"),
+        content="band gap intervals",
     )
     ctx.manifest.metrics.setdefault("bands", {}).update(
         n_gaps=int(structure.n_gaps), refine_passes=structure.passes
@@ -222,11 +231,12 @@ def _probe_indices(ctx: RunContext) -> tuple[list[int], list[int]]:
     """Mode and atom indices observed by the dynamics CSV: nearest to the
     requested frequencies, defaulting to the canonical band-edge / in-gap
     probe modes."""
-    table = ctx.get_modes()
-    t = ctx.get_tables()
+    table, t = ctx.census, ctx.tables
     freqs = ctx.options.probe_freqs
+    if not np.all(np.isfinite(freqs)):
+        raise ValueError(f"probe_freqs must be finite, got {list(freqs)}")
     if not freqs:
-        reps = bands.representatives(table, ctx.get_bands())
+        reps = bands.representatives(table, ctx.structure)
         freqs = [float(table.omega[reps["band_edge"]]), float(table.omega[reps["in_gap"]])]
     mode_idx = [int(np.argmin(np.abs(table.omega - f))) for f in freqs]
     atom_idx = [int(np.argmin(np.abs(t.omega_atoms - f))) for f in freqs]
@@ -234,7 +244,8 @@ def _probe_indices(ctx: RunContext) -> tuple[list[int], list[int]]:
 
 
 def stage_dynamics(ctx: RunContext) -> list[Path]:
-    t, opt = ctx.get_tables(), ctx.options
+    t, opt = ctx.tables, ctx.options
+    mode_idx, atom_idx = _probe_indices(ctx)
     y0 = np.zeros(t.n_freqs + t.n_modes)
     traj = integrate(
         y0,
@@ -244,42 +255,33 @@ def stage_dynamics(ctx: RunContext) -> list[Path]:
         atol=opt.atol,
         points_per_decade=opt.points_per_decade,
     )
-    mode_idx, atom_idx = _probe_indices(ctx)
     columns: dict = {"t": traj.times}
     for k in mode_idx:
         columns[f"N@{t.omega_modes[k]:.8e}"] = traj.photon(k)
     for n in atom_idx:
         columns[f"n@{t.omega_atoms[n]:.8e}"] = traj.electron(n)
-    out = write_csv(
-        ctx.out_dir / "dynamics.csv",
+    out = ctx.write(
+        "dynamics.csv",
         columns,
-        ctx.csv_metadata(
-            content="photon and electron occupation histories",
-            method=traj.metadata["method"],
-            rtol=opt.rtol,
-            atol=opt.atol,
-            t_end=opt.t_end,
-        ),
+        content="photon and electron occupation histories",
+        method=traj.metadata["method"],
+        rtol=opt.rtol,
+        atol=opt.atol,
+        t_end=opt.t_end,
     )
-    state_csv = _write_state(ctx, ctx.out_dir / "dynamics-state.csv", traj.final)
+    state_csv = _write_state(ctx, "dynamics-state.csv", traj.final)
     ctx.final_state = traj.final
     ctx.manifest.metrics["dynamics"] = dict(traj.metadata, range_rank=t.Q.shape[1])
     return [out, state_csv]
 
 
 def stage_steady(ctx: RunContext) -> list[Path]:
-    t = ctx.get_tables()
-    table = ctx.get_modes()
+    t, table = ctx.tables, ctx.census
     seed_from, tol = ctx.options.seed_from, ctx.options.tol
-    if seed_from:
-        guess = _read_state(ctx, seed_from)
-        seed_kind = f"file:{seed_from}"
-    elif ctx.final_state is not None:
-        guess = ctx.final_state
-        seed_kind = "dynamics"
-    else:
-        guess = steady.seed_guess(t)
-        seed_kind = "analytic"
+    guess = _given_state(ctx, seed_from)
+    seed_kind = f"file:{seed_from}" if seed_from else "dynamics"
+    if guess is None:
+        guess, seed_kind = steady.seed_guess(t), "analytic"
     result = steady.solve_steady(guess, t, tol=tol)
     # the solver converges through the range basis Q B; the exact W
     # certifies its state once, so that tol bounds the exact residual too
@@ -300,7 +302,7 @@ def stage_steady(ctx: RunContext) -> list[Path]:
         # that a later stage cannot read them as this run's result
         for name in ("steady-modes.csv", "steady-atoms.csv", "steady-state.csv"):
             (ctx.out_dir / name).unlink(missing_ok=True)
-        best =_write_state(ctx, ctx.out_dir / "unconverged-state.csv", result.state)
+        best = _write_state(ctx, "unconverged-state.csv", result.state)
         ctx.manifest.outputs["steady"] = [best.name]
         metrics["error"] = (
             f"did not converge: scaled residual {result.residual_norm:.3e} "
@@ -309,79 +311,61 @@ def stage_steady(ctx: RunContext) -> list[Path]:
         )
         raise StageError(f"stage 'steady' {metrics['error']}")
     n_e, photons = t.split(result.state)
-    mode_csv = write_csv(
-        ctx.out_dir / "steady-modes.csv",
+    mode_csv = ctx.write(
+        "steady-modes.csv",
         {
             "omega": table.omega,
             "photons": photons,
             "gamma_conf": table.gamma_conf,
             "class": _class_labels(table),
         },
-        ctx.csv_metadata(content="steady photon numbers per mode"),
+        content="steady photon numbers per mode",
     )
-    atom_csv = write_csv(
-        ctx.out_dir / "steady-atoms.csv",
+    atom_csv = ctx.write(
+        "steady-atoms.csv",
         {"omega": t.omega_atoms, "n_e": n_e},
-        ctx.csv_metadata(content="steady electron occupations"),
+        content="steady electron occupations",
     )
-    state_csv = _write_state(ctx, ctx.out_dir / "steady-state.csv", result.state)
+    state_csv = _write_state(ctx, "steady-state.csv", result.state)
     ctx.final_state = result.state
     return [mode_csv, atom_csv, state_csv]
 
 
 def stage_spectrum(ctx: RunContext) -> list[Path]:
-    table = ctx.get_modes()
     source, opt = ctx.options.input, ctx.options
-    if source:
-        state = _read_state(ctx, source)
-    elif ctx.final_state is not None:
-        state = ctx.final_state
-    else:
-        for candidate in ("steady-state.csv", "dynamics-state.csv"):
-            path = ctx.out_dir / candidate
-            if path.exists():
-                state = _read_state(ctx, path)
-                source = str(path)
-                break
-        else:
+    state = _given_state(ctx, source)
+    if state is None:
+        candidates = [ctx.out_dir / n for n in ("steady-state.csv", "dynamics-state.csv")]
+        source = next((str(p) for p in candidates if p.exists()), None)
+        if source is None:
             raise ValueError(
                 "no input state: pass --input or run the dynamics/steady stage first"
             )
+        state = _read_state(ctx, source)
     photons = state[ctx.params.n_atom_freqs :]
     gamma_d = float(ctx.params.detector_width)
     samples = spectra.default_samples(ctx.params.omega_max, opt.n_samples)
-    det = spectra.emission_detector(photons, table, samples, gamma_d=gamma_d)
-    outputs = [
-        write_csv(
-            ctx.out_dir / "spectrum.csv",
-            {"omega": det.omega, "value": det.value},
-            ctx.csv_metadata(kind=det.kind, gamma_d=gamma_d, source=source or "run"),
-        )
-    ]
+    det = spectra.emission_detector(photons, ctx.census, samples, gamma_d=gamma_d)
+
+    def write(name: str, spectrum: spectra.Spectrum, **meta) -> Path:
+        columns = {"omega": spectrum.omega, "value": spectrum.value}
+        return ctx.write(name, columns, kind=spectrum.kind, **meta)
+
+    outputs = [write("spectrum.csv", det, gamma_d=gamma_d, source=source or "run")]
     blackbody = None
     if opt.blackbody or opt.ratio:
         blackbody = spectra.blackbody_1d(samples, ctx.params.temperature)
     if opt.blackbody:
-        outputs.append(
-            write_csv(
-                ctx.out_dir / "spectrum-blackbody.csv",
-                {"omega": blackbody.omega, "value": blackbody.value},
-                ctx.csv_metadata(kind=blackbody.kind, temperature=ctx.params.temperature),
-            )
-        )
+        temperature = ctx.params.temperature
+        outputs.append(write("spectrum-blackbody.csv", blackbody, temperature=temperature))
     if opt.ratio:
         ratio = spectra.spectral_ratio(det, blackbody)
-        outputs.append(
-            write_csv(
-                ctx.out_dir / "spectrum-ratio.csv",
-                {"omega": ratio.omega, "value": ratio.value},
-                ctx.csv_metadata(kind=ratio.kind, gamma_d=gamma_d),
-            )
-        )
+        outputs.append(write("spectrum-ratio.csv", ratio, gamma_d=gamma_d))
     ctx.manifest.metrics["spectrum"] = {"n_samples": int(samples.size), "gamma_d": gamma_d}
     return outputs
 
 
+# in dependency order
 STAGE_FUNCTIONS = {
     "modes": stage_modes,
     "bands": stage_bands,
@@ -389,6 +373,7 @@ STAGE_FUNCTIONS = {
     "steady": stage_steady,
     "spectrum": stage_spectrum,
 }
+STAGE_ORDER = tuple(STAGE_FUNCTIONS)
 
 
 def run_pipeline(

@@ -122,8 +122,8 @@ def solve_steady(
         raise ValueError(f"guess has shape {guess.shape}, expected ({n_total},)")
     if not np.all(np.isfinite(guess)):
         raise ValueError("guess contains non-finite entries")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
     state = guess.copy()
     n_e, photons = tables.split(state)

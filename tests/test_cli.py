@@ -7,11 +7,13 @@ wall-clock metrics legitimately vary).
 """
 
 import argparse
+import collections
 import dataclasses
 import importlib
 import json
 import os
 import pkgutil
+import shutil
 import subprocess
 import sys
 import types
@@ -179,13 +181,20 @@ class TestPipeline:
         assert m["scale"] == meta["scale"] == "reduced"
 
     def test_band_structure_built_once(self, tmp_path, monkeypatch):
-        # stage_bands and the dynamics probe modes share one band structure
-        calls = []
-        build = bands.band_structure
-        monkeypatch.setattr(bands, "band_structure", lambda t: calls.append(t) or build(t))
-        code = main(["pipeline", "--out-dir", str(tmp_path), *FAST, "--stages", "modes,dynamics"])
+        # every stage of a run shares one census, band structure and set of tables
+        calls = collections.Counter()
+
+        def count(module, name):
+            build = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, **k: calls.update([name]) or build(*a, **k))
+
+        count(bands, "band_structure")
+        count(kinetics, "build_tables")
+        count(pipeline, "load_or_solve_modes")
+        code = main(["pipeline", "--out-dir", str(tmp_path), *FAST,
+                     "--stages", "modes,dynamics,steady,spectrum"])
         assert code == 0
-        assert len(calls) == 1
+        assert calls == {"band_structure": 1, "build_tables": 1, "load_or_solve_modes": 1}
 
     def test_modes_only_stages(self, tmp_path):
         code = main(["pipeline", "--out-dir", str(tmp_path), *FAST, "--stages", "modes"])
@@ -213,20 +222,23 @@ class TestPipeline:
         assert not (tmp_path / "run-manifest.json").exists()
 
 
-def _dynamics_in_subprocess(out, threads):
-    """Reduced eq-weak dynamics run by a fresh interpreter at a BLAS thread count."""
-    argv = [
-        "pipeline", "--stages", "dynamics", "--preset", "eq-weak",
-        "--scale", "reduced", "--t-end", "1e-9", "--out-dir", str(out),
-    ]
+def _pipeline_in_subprocess(out, args, threads="1", timeout=300):
+    """`photherm pipeline` run by a fresh interpreter at a BLAS thread count."""
     src = str(Path(photherm.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", "import sys; from photherm.cli import main; sys.exit(main())",
-         *argv],
-        env=env, check=True, capture_output=True, timeout=300,
+         "pipeline", "--out-dir", str(out), *args],
+        env=env, capture_output=True, text=True, timeout=timeout,
     )
+
+
+def _dynamics_in_subprocess(out, threads):
+    """Reduced eq-weak dynamics run by a fresh interpreter at a BLAS thread count."""
+    argv = ["--stages", "dynamics", "--preset", "eq-weak", "--scale", "reduced",
+            "--t-end", "1e-9"]
+    _pipeline_in_subprocess(out, argv, threads).check_returncode()
     return {f: (out / f).read_bytes() for f in ("dynamics.csv", "dynamics-state.csv")}
 
 
@@ -299,6 +311,30 @@ def test_integration_failure_exits_1(tmp_path, capsys, monkeypatch):
     m = json.loads((tmp_path / "run-manifest.json").read_text())
     assert "step budget exhausted" in m["metrics"]["dynamics"]["error"]
     assert not (tmp_path / "dynamics.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "stage, flag, value, name",
+    [
+        ("dynamics", "--t-end", "nan", "t_end"),
+        ("dynamics", "--rtol", "nan", "rtol"),
+        ("dynamics", "--rtol", "inf", "rtol"),
+        ("dynamics", "--atol", "nan", "atol"),
+        ("steady", "--tol", "inf", "tol"),
+        ("dynamics", "--probe-freq", "nan", "probe_freqs"),
+    ],
+)
+def test_non_finite_stage_value_exits_1(pipe_dir, tmp_path, stage, flag, value, name):
+    """A NaN or infinite stage value fails its stage by name; the timeout turns
+    an integration that never ends into a failure."""
+    shutil.copytree(pipe_dir / "cache", tmp_path / "cache")
+    run = _pipeline_in_subprocess(
+        tmp_path, [*FAST, "--stages", stage, flag, value], timeout=30
+    )
+    assert run.returncode == 1, run.stderr
+    assert f"{name} must be" in run.stderr and value in run.stderr
+    assert not (tmp_path / "dynamics.csv").exists()
+    assert not (tmp_path / "steady-state.csv").exists()
 
 
 class TestSingleCommands:
@@ -405,6 +441,24 @@ class TestSingleCommands:
         assert not list(out.glob("steady-*.csv"))
         steady = json.loads((out / "run-manifest.json").read_text())["metrics"]["steady"]
         assert steady["newton"] == 0
+
+    @pytest.mark.parametrize("flag, stage", [("--input", "spectrum"), ("--seed-from", "steady")])
+    def test_snapshot_of_another_census_rejected(self, tmp_path, capsys, flag, stage):
+        # reduced eq-strong has 644 modes at both plane strengths, so only the
+        # frequencies tell the two censuses apart
+        args = ["--preset", "eq-strong", "--scale", "reduced"]
+        other = tmp_path / "other"
+        assert main(["steady", "--out-dir", str(other), *args,
+                     "--param", "plane_strength=2.1e-5"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "run"
+        code = main([stage, "--out-dir", str(out), *args, "--param", "plane_strength=2.2e-5",
+                     flag, str(other / "steady-state.csv")])
+        assert code == 1
+        assert "frequencies differ from this run's atom grid or mode census" in (
+            capsys.readouterr().err
+        )
+        assert not (out / "spectrum.csv").exists() and not (out / "steady-state.csv").exists()
 
     def test_spectrum_without_state_fails_cleanly(self, tmp_path):
         code = main(["spectrum", "--out-dir", str(tmp_path), "--preset", "eq-strong",

@@ -3,8 +3,10 @@ cannot drift from the code."""
 
 import dataclasses
 import re
+import shlex
 from pathlib import Path
 
+from photherm.cli import build_parser
 from photherm.pipeline import StageOptions
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -36,3 +38,13 @@ def test_pipeline_example_runs(tmp_path, monkeypatch, capsys):
     assert manifest.metrics["steady"]["converged"]
     assert (tmp_path / namespace["out_dir"] / "steady-state.csv").exists()
     assert capsys.readouterr().out == "1e-12 True\n"
+
+
+def test_command_lines_parse():
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", README.read_text(), re.S)
+    assert block, "README has no command-line block"
+    lines = block.group(1).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.startswith("photherm ")]
+    assert len(commands) == 5
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
