@@ -19,10 +19,14 @@ factors sigma*I - c*J for the Newton step of the steady solver (sigma = 0)
 and the BDF iterations of the time stepper (sigma = 1) through the Schur
 complement of the photon block.  The row and column sums of W come from
 Q B too, so the conserved count is exact for the matrix the kernels use.
-The dense W is never held by a kernel: exact_rhs streams it in row blocks
-to certify a steady state once.  Every kernel goes through BLAS and
-LAPACK, whose results depend on the thread count in the last bits: output
-is bit-reproducible only at a fixed thread count.
+build_tables finds Q and B without a pass over the dense Lorentzian: L is
+analytic in the atom frequency, so a Chebyshev interpolant L = P L_x with
+p nodes (108 for the 500-point grid) reproduces it to rounding, and the
+range finder runs on that.  The dense W is never held by a kernel:
+exact_rhs streams it in row blocks to certify a steady state once.  Every
+kernel goes through BLAS and LAPACK, whose results depend on the thread
+count in the last bits: output is bit-reproducible only at a fixed thread
+count.
 """
 
 from __future__ import annotations
@@ -37,7 +41,9 @@ from . import atoms
 from .params import PhysicalParams
 
 RANGE_RTOL, RANGE_RANK, RANGE_PROBES, RANGE_SEED = 1e-13, 64, 10, 2011  # _range_basis
+NODE_MARGIN = 15  # Chebyshev nodes beyond the Bernstein-ellipse count, see _core
 BLOCK_ROWS = 64  # atom frequencies per row block of L or W
+PROBE_ROWS = 1024  # modes per chunk of the range finder's probes
 
 
 @dataclass
@@ -47,8 +53,11 @@ class CouplingTables:
 
     W = L diag(omega_modes * gamma_conf), shape (n_atom_freqs, n_modes), is
     kept as Q (n_freqs x r, orthonormal columns) and B (r x n_modes), built
-    by build_tables, with w_max = max W.  Q, B and w_max depend only on the
-    atom grid, the modes and params.dephasing_rate, so tables for params
+    by build_tables from a Chebyshev interpolant of L in atom frequency with
+    range_nodes nodes (0 when the grid is too small to gain from one, and
+    the basis is found on L itself), with w_max = max W.  Q, B, w_max and
+    range_nodes depend only on the atom grid, the modes and
+    params.dephasing_rate, so tables for params
     that differ in any other rate share them (dataclasses.replace with new
     params); a Q B that is not W for params.dephasing_rate is a ValueError.
     Every rate and coupling constant is read from params; fermi
@@ -64,6 +73,7 @@ class CouplingTables:
     Q: np.ndarray = field(repr=False)
     B: np.ndarray = field(repr=False)
     w_max: float
+    range_nodes: int
     fermi: np.ndarray = field(init=False, repr=False)
     pump: np.ndarray = field(init=False, repr=False)
     W_colsum: np.ndarray = field(init=False, repr=False)
@@ -78,8 +88,8 @@ class CouplingTables:
         # mode weight, is checked against the exact Lorentzian (W is not built)
         weights = self.omega_modes * self.gamma_conf
         k = int(np.argmax(weights))
-        exact = weights[k] / (
-            1.0 + ((self.omega_atoms - self.omega_modes[k]) / p.dephasing_rate) ** 2
+        exact = weights[k] * _lorentzian(
+            self.omega_atoms - self.omega_modes[k], p.dephasing_rate
         )
         err = float(np.abs(self.Q @ self.B[:, k] - exact).max())
         if not err <= 1e-10 * self.w_max:
@@ -134,6 +144,15 @@ class CouplingTables:
         return _assemble(self.row_blocks(), (self.n_freqs, self.n_modes))
 
 
+def _lorentzian(detuning: np.ndarray, dephasing_rate: float) -> np.ndarray:
+    """L = 1 / (1 + (detuning / dephasing)^2), built in place on detuning:
+    every L entry, whole-table or not, is this expression in this order."""
+    detuning /= dephasing_rate
+    np.square(detuning, out=detuning)
+    detuning += 1.0
+    return np.divide(1.0, detuning, out=detuning)
+
+
 def _row_blocks(omega_atoms, omega_modes, dephasing_rate, weights=None):
     """(rows, L[rows]) over blocks of BLOCK_ROWS atom frequencies, or
     (rows, W[rows]) with W = L diag(weights) when weights are given; every
@@ -144,12 +163,8 @@ def _row_blocks(omega_atoms, omega_modes, dephasing_rate, weights=None):
     for start in range(0, n, BLOCK_ROWS):
         rows = slice(start, min(start + BLOCK_ROWS, n))
         block = buf[: rows.stop - start]
-        # L = 1 / (1 + ((om_a - om_m) / dephasing)^2), built in place
         np.subtract.outer(omega_atoms[rows], omega_modes, out=block)
-        block /= dephasing_rate
-        np.square(block, out=block)
-        block += 1.0
-        np.divide(1.0, block, out=block)
+        _lorentzian(block, dephasing_rate)
         if weights is not None:
             block *= weights
         yield rows, block
@@ -162,49 +177,95 @@ def _assemble(blocks, shape: tuple[int, int]) -> np.ndarray:
     return out
 
 
-def _sketch(blocks, n: int, probes: np.ndarray) -> tuple[np.ndarray, float]:
-    """(L @ probes, |L|_F^2) in one pass over the row blocks of L's n rows."""
-    out, sq = np.empty((n, probes.shape[1])), 0.0
-    for rows, L in blocks:
-        np.matmul(L, probes, out=out[rows])
-        sq += float(np.vdot(L, L))
-    return out, sq
+def _core(omega_atoms, omega_modes, dephasing_rate):
+    """(P, L_x, p) with L = P L_x to rounding: L_x = L(x_j, Omega_k) at p
+    Chebyshev nodes x_j spanning the ascending atom grid, and P the
+    n_freqs x p barycentric interpolation matrix (Berrut & Trefethen, SIAM
+    Rev. 46, 2004).
+
+    L is analytic in the atom frequency with poles at Omega_k +- i gamma;
+    the worst, mid-interval, sets the Bernstein ellipse
+    rho = gamma/h + sqrt(1 + (gamma/h)^2), h the half-width, and the
+    interpolation error falls as rho^-p (Trefethen, Approximation Theory and
+    Approximation Practice, ch. 8), so p = log(1/eps) / log(rho) plus
+    NODE_MARGIN.  When p is not below n_freqs, the core is L itself:
+    P = I, L_x = L and p = 0.
+    """
+    n, lo, hi = omega_atoms.size, omega_atoms[0], omega_atoms[-1]
+    half = 0.5 * (hi - lo)
+    p = n
+    if half > 0.0:
+        ln_rho = np.arcsinh(dephasing_rate / half)
+        p = int(np.ceil(-np.log(np.finfo(float).eps) / ln_rho)) + NODE_MARGIN
+    if p >= n:
+        blocks = _row_blocks(omega_atoms, omega_modes, dephasing_rate)
+        return np.eye(n), _assemble(blocks, (n, omega_modes.size)), 0
+    # Chebyshev points of the second kind, ascending, with their barycentric weights
+    x = lo + half * (1.0 - np.cos(np.pi * np.arange(p) / (p - 1)))
+    w = np.where(np.arange(p) % 2, -1.0, 1.0)
+    w[[0, -1]] *= 0.5
+    diff = np.subtract.outer(omega_atoms, x)
+    hit = diff == 0.0  # an atom on a node takes that node's value
+    diff[hit] = 1.0
+    P = w / diff
+    P /= P.sum(axis=1, keepdims=True)
+    on_node = hit.any(axis=1)
+    P[on_node] = hit[on_node]
+    return P, _lorentzian(np.subtract.outer(x, omega_modes), dephasing_rate), p
+
+
+def _column_peaks(omega_atoms, omega_modes, dephasing_rate) -> np.ndarray:
+    """max_n L_nk for each mode k, equal to the whole table's bit for bit:
+    L falls away from Omega_k on either side, and rounding is monotone, so
+    the peak is at one of the two atoms around Omega_k."""
+    right = np.minimum(np.searchsorted(omega_atoms, omega_modes), omega_atoms.size - 1)
+    left = np.maximum(right - 1, 0)
+    return np.maximum(
+        _lorentzian(omega_atoms[left] - omega_modes, dephasing_rate),
+        _lorentzian(omega_atoms[right] - omega_modes, dephasing_rate),
+    )
 
 
 def _range_basis(omega_atoms, omega_modes, dephasing_rate, weights):
-    """(Q, B, max W) with W = L diag(weights) = Q B within RANGE_RTOL.
+    """(Q, B, max W, p) with W = L diag(weights) = Q B within RANGE_RTOL and
+    p the node count of _core's interpolant L = P L_x (0 for L itself).
 
     Q is orthonormal, from Halko, Martinsson & Tropp's seeded range finder
-    (SIAM Rev. 53, 2011, Alg. 4.2) run on the unscaled Lorentzian L, whose
-    columns are all of order one, and B = (Q^T L) diag(weights): the weakly
-    confined modes (small weights) keep their relative accuracy.  Rank k
-    doubles from RANGE_RANK until RANGE_PROBES fresh probes bound
-    |L - Q Q^T L| by RANGE_RTOL |L|_F (eq. 4.3); once k + RANGE_PROBES
-    exceeds n_freqs, the exact Q = I, B = W.  L is streamed in row blocks,
-    one pass per sketch and one for B, so neither L nor W is held whole.
+    (SIAM Rev. 53, 2011, Alg. 4.2) run on the interpolant of the unscaled
+    Lorentzian, whose columns are all of order one, and
+    B = (Q^T P) L_x diag(weights): the weakly confined modes (small
+    weights) keep their relative accuracy.  Rank k doubles from RANGE_RANK
+    until RANGE_PROBES fresh probes bound |L - Q Q^T L| by RANGE_RTOL |L|_F
+    (eq. 4.3); once k + RANGE_PROBES exceeds L_x's rows, Q spans P's
+    columns (Q = I, B = W when the core is L itself).  Each sketch
+    P (L_x G) draws the probes G in chunks of PROBE_ROWS modes, so only
+    L_x, B and one chunk of G are held: never W, and L only when it is
+    the core itself.
     """
-    n, m = omega_atoms.size, omega_modes.size
-    blocks = functools.partial(_row_blocks, omega_atoms, omega_modes, dephasing_rate)
+    P, Lx, nodes = _core(omega_atoms, omega_modes, dephasing_rate)
+    rows, m = Lx.shape
+    # |P L_x|_F^2 = <P^T P, L_x L_x^T>
+    norm = np.sqrt(float(np.vdot(P.T @ P, Lx @ Lx.T)))
+    tol = RANGE_RTOL * norm / (10.0 * np.sqrt(2.0 / np.pi))
     k, rng = RANGE_RANK, np.random.default_rng(RANGE_SEED)
-    Y = np.empty((n, 0))
-    while k + RANGE_PROBES <= n:  # each doubling reuses the probes drawn so far
-        # the probes and the block buffer are freed before the pass for B
-        draws = (m, k + RANGE_PROBES - Y.shape[1])
-        sketch, sq = _sketch(blocks(), n, rng.standard_normal(draws))
-        Y = np.hstack([Y, sketch])
+    Y = np.empty((omega_atoms.size, 0))
+    while k + RANGE_PROBES <= rows:  # each doubling reuses the probes drawn so far
+        sketch = np.zeros((rows, k + RANGE_PROBES - Y.shape[1]))
+        for start in range(0, m, PROBE_ROWS):
+            cols = slice(start, min(start + PROBE_ROWS, m))
+            sketch += Lx[:, cols] @ rng.standard_normal((cols.stop - start, sketch.shape[1]))
+        Y = np.hstack([Y, P @ sketch])
         Q = np.linalg.qr(Y[:, :k])[0]
-        tol = RANGE_RTOL * np.sqrt(sq) / (10.0 * np.sqrt(2.0 / np.pi))
         if np.linalg.norm(Y[:, k:] - Q @ (Q.T @ Y[:, k:]), axis=0).max() <= tol:
-            B, colmax = np.zeros((k, m)), np.zeros(m)
-            for rows, L in blocks():
-                B += Q[rows].T @ L
-                np.maximum(colmax, L.max(axis=0), out=colmax)
-            B *= weights
-            # rounding is monotone, so max_n fl(L_nk w_k) = fl(max_n L_nk w_k)
-            return Q, B, float((colmax * weights).max())
+            break
         k *= 2
-    W = _assemble(blocks(weights), (n, m))
-    return np.eye(n), W, float(W.max())
+    else:
+        Q = np.linalg.qr(P)[0]
+    B = (Q.T @ P) @ Lx
+    B *= weights
+    # rounding is monotone, so max_n fl(L_nk w_k) = fl(max_n L_nk w_k)
+    peaks = _column_peaks(omega_atoms, omega_modes, dephasing_rate)
+    return Q, B, float((peaks * weights).max()), nodes
 
 
 def build_tables(
@@ -213,14 +274,17 @@ def build_tables(
     omega_atoms: np.ndarray,
     params: PhysicalParams,
 ) -> CouplingTables:
-    """Lorentzian coupling tables through their range basis."""
+    """Lorentzian coupling tables through their range basis, on an
+    ascending atom grid."""
     om_a = np.asarray(omega_atoms, dtype=float)
     om_m = np.asarray(omega_modes, dtype=float)
     gam = np.asarray(gamma_modes, dtype=float)
     if om_m.size == 0 or om_a.size == 0:
         raise ValueError("empty mode set or atom grid")
-    Q, B, w_max = _range_basis(om_a, om_m, params.dephasing_rate, om_m * gam)
-    return CouplingTables(om_a, om_m, gam, params, Q, B, w_max)
+    if np.any(np.diff(om_a) < 0.0):
+        raise ValueError("atom grid is not ascending")
+    Q, B, w_max, nodes = _range_basis(om_a, om_m, params.dephasing_rate, om_m * gam)
+    return CouplingTables(om_a, om_m, gam, params, Q, B, w_max, nodes)
 
 
 def _coefficients(y: np.ndarray, tables: CouplingTables) -> tuple[np.ndarray, np.ndarray]:

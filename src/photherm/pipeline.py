@@ -161,10 +161,19 @@ def _write_state(ctx: RunContext, name: str, state: np.ndarray) -> Path:
     return ctx.write(name, columns, content="kinetic state snapshot")
 
 
-def _read_state(ctx: RunContext, path: str | Path) -> np.ndarray:
+def _read_state(
+    ctx: RunContext, path: str | Path, same_params: bool = False
+) -> np.ndarray:
     """The packed state [n_e, N_k] of a snapshot file, checked against the
-    run's atom grid and census frequencies (no coupling tables are built)."""
-    _, cols = read_csv(path)
+    run's atom grid and census frequencies (no coupling tables are built);
+    with same_params, the file must also carry this run's params_digest."""
+    meta, cols = read_csv(path)
+    if same_params and meta.get("params_digest") != (digest := ctx.params.digest()):
+        raise ValueError(
+            f"{path} was written with other parameters (params_digest "
+            f"{meta.get('params_digest')}, this run {digest}); pass it as --input "
+            "to apply it anyway"
+        )
     for need in ("role", "omega", "value"):
         if need not in cols:
             raise ValueError(f"{path}: missing column {need!r}")
@@ -271,7 +280,9 @@ def stage_dynamics(ctx: RunContext) -> list[Path]:
     )
     state_csv = _write_state(ctx, "dynamics-state.csv", traj.final)
     ctx.final_state = traj.final
-    ctx.manifest.metrics["dynamics"] = dict(traj.metadata, range_rank=t.Q.shape[1])
+    ctx.manifest.metrics["dynamics"] = dict(
+        traj.metadata, range_rank=t.Q.shape[1], range_nodes=t.range_nodes
+    )
     return [out, state_csv]
 
 
@@ -294,6 +305,7 @@ def stage_steady(ctx: RunContext) -> list[Path]:
         "newton": result.iterations.get("newton", 0),
         "krylov": result.iterations.get("krylov", 0),
         "range_rank": t.Q.shape[1],
+        "range_nodes": t.range_nodes,
         "seed": seed_kind,
     }
     if not metrics["converged"]:
@@ -341,7 +353,7 @@ def stage_spectrum(ctx: RunContext) -> list[Path]:
             raise ValueError(
                 "no input state: pass --input or run the dynamics/steady stage first"
             )
-        state = _read_state(ctx, source)
+        state = _read_state(ctx, source, same_params=True)
     photons = state[ctx.params.n_atom_freqs :]
     gamma_d = float(ctx.params.detector_width)
     samples = spectra.default_samples(ctx.params.omega_max, opt.n_samples)

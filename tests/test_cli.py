@@ -112,8 +112,10 @@ class TestPipeline:
         assert empty["metrics"]["bands"]["n_gaps"] == 0
         assert empty["metrics"]["bands"]["refine_passes"] == 0
         dyn = m["metrics"]["dynamics"]
-        # the coupling's range basis of W, certified at rank 64 of 100
+        # the coupling's range basis of W, certified at rank 64 of 100 and
+        # found on the Lorentzian itself: 100 atoms are fewer than the nodes
         assert m["metrics"]["steady"]["range_rank"] == dyn["range_rank"] == 64
+        assert m["metrics"]["steady"]["range_nodes"] == dyn["range_nodes"] == 0
         assert dyn["accepted_steps"] > 0
         assert 0.0 < dyn["min_step"] <= dyn["max_step"] <= 1e-12
         for stage in m["stages"]:
@@ -128,6 +130,16 @@ class TestPipeline:
         assert history[-1] == steady["residual_norm"]
         # the exact-W residual certifies the state against the default tol
         assert 0.0 < steady["residual_exact"] < 1e-10
+
+    def test_full_scale_manifest_records_interpolant_nodes(self, tmp_path):
+        code = main(["pipeline", "--out-dir", str(tmp_path), "--preset", "eq-strong",
+                     "--scale", "full", "--stages", "dynamics,steady",
+                     "--t-end", "1e-12", "--rtol", "1e-3"])
+        assert code == 0
+        metrics = json.loads((tmp_path / "run-manifest.json").read_text())["metrics"]
+        for stage in ("dynamics", "steady"):
+            assert metrics[stage]["range_rank"] == 64, stage
+            assert metrics[stage]["range_nodes"] == 108, stage
 
     def test_modes_csv_schema(self, pipe_dir):
         _, cols = read_csv(pipe_dir / "modes.csv")
@@ -459,6 +471,19 @@ class TestSingleCommands:
             capsys.readouterr().err
         )
         assert not (out / "spectrum.csv").exists() and not (out / "steady-state.csv").exists()
+
+    def test_fallback_state_of_other_parameters_rejected(self, tmp_path, capsys):
+        # both presets share the census, so only the parameter digest tells
+        # the eq-strong state apart from a noneq one
+        args = ["--out-dir", str(tmp_path), "--scale", "reduced"]
+        assert main(["steady", *args, "--preset", "eq-strong"]) == 0
+        capsys.readouterr()
+        assert main(["spectrum", *args, "--preset", "noneq"]) == 1
+        assert "written with other parameters" in capsys.readouterr().err
+        assert not (tmp_path / "spectrum.csv").exists()
+        assert main(["spectrum", *args, "--preset", "eq-strong"]) == 0
+        meta, _ = read_csv(tmp_path / "spectrum.csv")
+        assert meta["source"] == str(tmp_path / "steady-state.csv")
 
     def test_spectrum_without_state_fails_cleanly(self, tmp_path):
         code = main(["spectrum", "--out-dir", str(tmp_path), "--preset", "eq-strong",

@@ -71,7 +71,10 @@ class TestWriteRead:
 
 
 class TestColumnFormatting:
-    SPECIAL = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308, 0.1 + 0.2]
+    SPECIAL = [
+        -0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+        2.225073858507201e-308, 1.7976931348623157e308, 0.1 + 0.2,
+    ]
 
     @pytest.mark.parametrize("length", [0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])
     def test_same_bytes_as_per_cell_formatter(self, tmp_path, length):

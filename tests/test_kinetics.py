@@ -140,6 +140,12 @@ class TestBuildTables:
         with pytest.raises(ValueError):
             kinetics.build_tables(np.array([1e14]), np.array([0.5]), empty, p)
 
+    def test_descending_atom_grid_rejected(self):
+        # the interpolation interval and the column peaks read the grid in order
+        p = preset("eq-strong")
+        with pytest.raises(ValueError, match="not ascending"):
+            kinetics.build_tables(np.array([1e14]), np.array([0.5]), np.array([2e14, 1e14]), p)
+
 
 class TestRhs:
     def test_zero_state_spontaneous_only(self, reduced_table, reduced_params):
@@ -351,10 +357,9 @@ class TestRangeBasis:
     def check_basis(t, rank):
         assert t.Q.shape == (t.n_freqs, rank) and t.B.shape == (rank, t.n_modes)
         assert np.abs(t.Q.T @ t.Q - np.eye(rank)).max() <= 1e-14
-        # B = (Q^T L) diag(Omega Gamma), Q^T L summed over L's row blocks
-        blocks = kinetics._row_blocks(t.omega_atoms, t.omega_modes, t.params.dephasing_rate)
-        QtL = sum(t.Q[rows].T @ L for rows, L in blocks)
-        assert np.array_equal(t.B, QtL * (t.omega_modes * t.gamma_conf))
+        # B = (Q^T P) L_x diag(Omega Gamma), with L = P L_x the interpolant
+        P, Lx, _ = kinetics._core(t.omega_atoms, t.omega_modes, t.params.dephasing_rate)
+        assert np.array_equal(t.B, ((t.Q.T @ P) @ Lx) * (t.omega_modes * t.gamma_conf))
         err = np.linalg.norm(t.W - t.Q @ t.B)
         assert err <= kinetics.RANGE_RTOL * np.linalg.norm(t.W)
 
@@ -379,6 +384,32 @@ class TestRangeBasis:
         t = full_tables
         err = np.linalg.norm(t.Q @ t.B - t.W, axis=0)
         assert np.all(err <= 1e-13 * np.linalg.norm(t.W, axis=0))
+
+    def test_full_scale_build_never_streams_l(self, full_table, full_params, monkeypatch):
+        calls = []
+        row_blocks = kinetics._row_blocks
+        monkeypatch.setattr(
+            kinetics, "_row_blocks", lambda *a, **k: calls.append(1) or row_blocks(*a, **k)
+        )
+        grid = atoms.build_grid(full_params)
+        t = kinetics.build_tables(full_table.omega, full_table.gamma_conf, grid, full_params)
+        assert calls == [] and t.Q.shape == (500, 64) and t.range_nodes == 108
+
+    @pytest.mark.parametrize("dephasing_rate", [3e13, 1e14, 3e14])
+    def test_interpolated_basis_over_linewidths(self, dephasing_rate):
+        # synthetic modes spread uniformly over the atom band, confinement
+        # weights over five decades; narrower lines need more nodes and rank
+        rng = np.random.default_rng(5)
+        p = preset("eq-strong", dephasing_rate=dephasing_rate)
+        om_m = np.sort(rng.uniform(0.0, p.omega_max, 2000))
+        t = kinetics.build_tables(
+            om_m, 10.0 ** rng.uniform(-5.0, 0.0, om_m.size), atoms.build_grid(p), p
+        )
+        assert t.n_freqs == 500 and 0 < t.range_nodes < 500
+        err = np.linalg.norm(t.Q @ t.B - t.W, axis=0)
+        assert np.all(err <= 1e-13 * np.linalg.norm(t.W, axis=0))
+        assert np.linalg.norm(t.Q @ t.B - t.W) <= kinetics.RANGE_RTOL * np.linalg.norm(t.W)
+        assert t.w_max == t.W.max()
 
     def test_blocks_assemble_whole_table_w(self, full_tables, full_params):
         t = full_tables
