@@ -22,11 +22,11 @@ Q B too, so the conserved count is exact for the matrix the kernels use.
 build_tables finds Q and B without a pass over the dense Lorentzian: L is
 analytic in the atom frequency, so a Chebyshev interpolant L = P L_x with
 p nodes (108 for the 500-point grid) reproduces it to rounding, and the
-range finder runs on that.  The dense W is never held by a kernel:
-exact_rhs streams it in row blocks to certify a steady state once.  Every
-kernel goes through BLAS and LAPACK, whose results depend on the thread
-count in the last bits: output is bit-reproducible only at a fixed thread
-count.
+range finder runs on that.  Dense rows of W come from CouplingTables.w_rows
+alone, which exact_rhs calls BLOCK_ROWS rows at a time to certify a steady
+state once.  Every kernel goes through BLAS and LAPACK, whose results
+depend on the thread count in the last bits: output is bit-reproducible
+only at a fixed thread count.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .params import PhysicalParams
 
 RANGE_RTOL, RANGE_RANK, RANGE_PROBES, RANGE_SEED = 1e-13, 64, 10, 2011  # _range_basis
 NODE_MARGIN = 15  # Chebyshev nodes beyond the Bernstein-ellipse count, see _core
-BLOCK_ROWS = 64  # atom frequencies per row block of L or W
+BLOCK_ROWS = 64  # atom frequencies per block of W in exact_rhs
 PROBE_ROWS = 1024  # modes per chunk of the range finder's probes
 
 
@@ -55,15 +55,15 @@ class CouplingTables:
     kept as Q (n_freqs x r, orthonormal columns) and B (r x n_modes), built
     by build_tables from a Chebyshev interpolant of L in atom frequency with
     range_nodes nodes (0 when the grid is too small to gain from one, and
-    the basis is found on L itself), with w_max = max W.  Q, B, w_max and
-    range_nodes depend only on the atom grid, the modes and
-    params.dephasing_rate, so tables for params
-    that differ in any other rate share them (dataclasses.replace with new
+    the basis is found on L itself), with w_max = max W; w_rows evaluates
+    rows of W itself.  Q, B, w_max and range_nodes depend only on the atom
+    grid, the modes and params.dephasing_rate, so tables for params that
+    differ in any other rate share them (dataclasses.replace with new
     params); a Q B that is not W for params.dephasing_rate is a ValueError.
-    Every rate and coupling constant is read from params; fermi
-    and pump (the equilibrium and pumping rates on the atom grid), W_colsum
-    and a0, a1, b0, b1 (the packed rhs constants, see the module docstring)
-    are derived from the other fields.
+    Every rate and coupling constant is read from params; fermi and pump
+    (the equilibrium and pumping rates on the atom grid), W_colsum and a0,
+    a1, b0, b1 (the packed rhs constants, see the module docstring) are
+    derived from the other fields.
     """
 
     omega_atoms: np.ndarray
@@ -127,21 +127,17 @@ class CouplingTables:
             -p.g_photon * colsum - p.photon_loss_rate,
         )
 
-    def row_blocks(self):
-        """(rows, W[rows]) over blocks of BLOCK_ROWS atom frequencies, each
-        valid until the next is drawn."""
-        return _row_blocks(
-            self.omega_atoms,
-            self.omega_modes,
-            self.params.dephasing_rate,
-            self.omega_modes * self.gamma_conf,
-        )
+    def w_rows(self, rows: slice = slice(None)) -> np.ndarray:
+        """W[rows]: _core's expression for L at these atoms, times the weights."""
+        detuning = np.subtract.outer(self.omega_atoms[rows], self.omega_modes)
+        W = _lorentzian(detuning, self.params.dephasing_rate)
+        W *= self.omega_modes * self.gamma_conf
+        return W
 
     @functools.cached_property
     def W(self) -> np.ndarray:
-        """The dense W, assembled from row_blocks on first access; no kernel
-        reads it."""
-        return _assemble(self.row_blocks(), (self.n_freqs, self.n_modes))
+        """The dense W, built on first access; no kernel reads it."""
+        return self.w_rows()
 
 
 def _lorentzian(detuning: np.ndarray, dephasing_rate: float) -> np.ndarray:
@@ -151,30 +147,6 @@ def _lorentzian(detuning: np.ndarray, dephasing_rate: float) -> np.ndarray:
     np.square(detuning, out=detuning)
     detuning += 1.0
     return np.divide(1.0, detuning, out=detuning)
-
-
-def _row_blocks(omega_atoms, omega_modes, dephasing_rate, weights=None):
-    """(rows, L[rows]) over blocks of BLOCK_ROWS atom frequencies, or
-    (rows, W[rows]) with W = L diag(weights) when weights are given; every
-    entry is the one a whole-table build computes.  All blocks share one
-    buffer, so a block is valid only until the next one is drawn."""
-    n = omega_atoms.size
-    buf = np.empty((min(BLOCK_ROWS, n), omega_modes.size))
-    for start in range(0, n, BLOCK_ROWS):
-        rows = slice(start, min(start + BLOCK_ROWS, n))
-        block = buf[: rows.stop - start]
-        np.subtract.outer(omega_atoms[rows], omega_modes, out=block)
-        _lorentzian(block, dephasing_rate)
-        if weights is not None:
-            block *= weights
-        yield rows, block
-
-
-def _assemble(blocks, shape: tuple[int, int]) -> np.ndarray:
-    out = np.empty(shape)
-    for rows, block in blocks:
-        out[rows] = block
-    return out
 
 
 def _core(omega_atoms, omega_modes, dephasing_rate):
@@ -188,8 +160,8 @@ def _core(omega_atoms, omega_modes, dephasing_rate):
     rho = gamma/h + sqrt(1 + (gamma/h)^2), h the half-width, and the
     interpolation error falls as rho^-p (Trefethen, Approximation Theory and
     Approximation Practice, ch. 8), so p = log(1/eps) / log(rho) plus
-    NODE_MARGIN.  When p is not below n_freqs, the core is L itself:
-    P = I, L_x = L and p = 0.
+    NODE_MARGIN.  When p is not below n_freqs, the nodes are the atoms
+    themselves: P = I, L_x = L and p = 0.
     """
     n, lo, hi = omega_atoms.size, omega_atoms[0], omega_atoms[-1]
     half = 0.5 * (hi - lo)
@@ -198,19 +170,19 @@ def _core(omega_atoms, omega_modes, dephasing_rate):
         ln_rho = np.arcsinh(dephasing_rate / half)
         p = int(np.ceil(-np.log(np.finfo(float).eps) / ln_rho)) + NODE_MARGIN
     if p >= n:
-        blocks = _row_blocks(omega_atoms, omega_modes, dephasing_rate)
-        return np.eye(n), _assemble(blocks, (n, omega_modes.size)), 0
-    # Chebyshev points of the second kind, ascending, with their barycentric weights
-    x = lo + half * (1.0 - np.cos(np.pi * np.arange(p) / (p - 1)))
-    w = np.where(np.arange(p) % 2, -1.0, 1.0)
-    w[[0, -1]] *= 0.5
-    diff = np.subtract.outer(omega_atoms, x)
-    hit = diff == 0.0  # an atom on a node takes that node's value
-    diff[hit] = 1.0
-    P = w / diff
-    P /= P.sum(axis=1, keepdims=True)
-    on_node = hit.any(axis=1)
-    P[on_node] = hit[on_node]
+        P, x, p = np.eye(n), omega_atoms, 0
+    else:
+        # Chebyshev points of the second kind, ascending, with their barycentric weights
+        x = lo + half * (1.0 - np.cos(np.pi * np.arange(p) / (p - 1)))
+        w = np.where(np.arange(p) % 2, -1.0, 1.0)
+        w[[0, -1]] *= 0.5
+        diff = np.subtract.outer(omega_atoms, x)
+        hit = diff == 0.0  # an atom on a node takes that node's value
+        diff[hit] = 1.0
+        P = w / diff
+        P /= P.sum(axis=1, keepdims=True)
+        on_node = hit.any(axis=1)
+        P[on_node] = hit[on_node]
     return P, _lorentzian(np.subtract.outer(x, omega_modes), dephasing_rate), p
 
 
@@ -316,16 +288,19 @@ def affine_coefficients(
 
 def exact_rhs(y: np.ndarray, tables: CouplingTables) -> np.ndarray:
     """rhs with the exact W and its exact row and column sums in place of
-    the range basis Q B, streamed in row blocks so that the dense W is never
-    held: it certifies a state that the Q B kernels found."""
+    the range basis Q B, built BLOCK_ROWS rows at a time by w_rows so that
+    the dense W is never held: it certifies a state that the Q B kernels found."""
     nf = tables.n_freqs
     n, N = tables.split(y)
     s, rowsum, colsum = np.zeros_like(y), np.empty(nf), np.zeros(tables.n_modes)
-    for rows, W in tables.row_blocks():
+    for start in range(0, nf, BLOCK_ROWS):
+        rows = slice(start, min(start + BLOCK_ROWS, nf))
+        W = tables.w_rows(rows)
         s[rows] = W @ N
         s[nf:] += n[rows] @ W
         rowsum[rows] = W.sum(axis=1)
         colsum += W.sum(axis=0)
+        del W  # one block alive at a time
     a = tables.rate_constant(rowsum, colsum) + tables.a1 * s
     return a * y + tables.b0 + tables.b1 * s
 

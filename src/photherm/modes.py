@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -90,14 +91,20 @@ class ModeTable:
         return self.gamma_conf > even * (1.0 + CLASS_RTOL)
 
     def save(self, path: str | Path) -> None:
-        np.savez_compressed(
-            path,
-            omega=self.omega,
-            gamma_conf=self.gamma_conf,
-            m_peak=self.m_peak,
-            census_version=CENSUS_VERSION,
-            geometry=np.array(self.params.census_geometry()),
-        )
+        """Write a hidden .part file beside path, then rename it onto path: a
+        run killed mid-save leaves no truncated table under any .npz name."""
+        path = Path(path)
+        part = path.with_name(f".{path.name}.{os.getpid()}.part")
+        with open(part, "wb") as f:  # a bare file name would get .npz appended
+            np.savez_compressed(
+                f,
+                omega=self.omega,
+                gamma_conf=self.gamma_conf,
+                m_peak=self.m_peak,
+                census_version=CENSUS_VERSION,
+                geometry=np.array(self.params.census_geometry()),
+            )
+        os.replace(part, path)
 
     @classmethod
     def load(cls, path: str | Path, params: PhysicalParams) -> "ModeTable | None":

@@ -357,6 +357,29 @@ class TestSingleCommands:
         cache = list((tmp_path / "cache").glob("modes-*.npz"))
         assert len(cache) == 1
 
+    def test_interrupted_cache_save_leaves_no_table(self, tmp_path, capsys, monkeypatch):
+        # a census save that dies after writing leaves nothing at the cache
+        # path, so the next run in that directory solves the census again
+        write = np.savez_compressed
+
+        def die(file, **arrays):
+            write(file, **arrays)
+            raise OSError("No space left on device")
+
+        args = ["modes", "--out-dir", str(tmp_path), *FAST[:4]]
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "savez_compressed", die)
+            assert main(args) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert list((tmp_path / "cache").glob("modes-*.npz")) == []
+        assert main(args) == 0
+        m = json.loads((tmp_path / "run-manifest.json").read_text())
+        assert m["metrics"]["modes"]["cache_hit"] is False
+        assert len(list((tmp_path / "cache").glob("modes-*.npz"))) == 1
+        assert main(args) == 0
+        m = json.loads((tmp_path / "run-manifest.json").read_text())
+        assert m["metrics"]["modes"]["cache_hit"] is True
+
     def test_steady_seeded_from_state_file(self, pipe_dir, tmp_path):
         code = main(
             ["steady", "--out-dir", str(tmp_path), "--preset", "eq-strong",

@@ -386,14 +386,43 @@ class TestRangeBasis:
         assert np.all(err <= 1e-13 * np.linalg.norm(t.W, axis=0))
 
     def test_full_scale_build_never_streams_l(self, full_table, full_params, monkeypatch):
-        calls = []
-        row_blocks = kinetics._row_blocks
+        # every Lorentzian evaluation goes through _lorentzian: at full scale
+        # the build sees the node table and single columns, never L itself
+        shapes = []
+        lorentzian = kinetics._lorentzian
         monkeypatch.setattr(
-            kinetics, "_row_blocks", lambda *a, **k: calls.append(1) or row_blocks(*a, **k)
+            kinetics, "_lorentzian", lambda d, g: shapes.append(d.shape) or lorentzian(d, g)
         )
         grid = atoms.build_grid(full_params)
         t = kinetics.build_tables(full_table.omega, full_table.gamma_conf, grid, full_params)
-        assert calls == [] and t.Q.shape == (500, 64) and t.range_nodes == 108
+        assert (t.range_nodes, t.n_modes) in shapes
+        assert (t.n_freqs, t.n_modes) not in shapes
+        assert t.Q.shape == (500, 64) and t.range_nodes == 108
+
+    @pytest.mark.parametrize("name", ["reduced_tables", "full_tables"])
+    def test_row_slices_stack_to_w(self, name, request):
+        t = request.getfixturevalue(name)
+        starts = range(0, t.n_freqs, kinetics.BLOCK_ROWS)
+        blocks = [t.w_rows(slice(i, i + kinetics.BLOCK_ROWS)) for i in starts]
+        assert np.array_equal(np.vstack(blocks), t.W)
+
+    def test_small_grid_core_is_w(self, reduced_tables):
+        # on the reduced grid the nodes are the atoms: L_x is W without the weights
+        t = reduced_tables
+        P, Lx, nodes = kinetics._core(t.omega_atoms, t.omega_modes, t.params.dephasing_rate)
+        assert nodes == 0 and np.array_equal(P, np.eye(t.n_freqs))
+        assert np.array_equal(Lx * (t.omega_modes * t.gamma_conf), t.W)
+
+    def test_exact_rhs_holds_one_block(self, full_tables):
+        t = full_tables
+        y = shifted_lu_state("inverted", t)
+        tracemalloc.start()
+        try:
+            kinetics.exact_rhs(y, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * kinetics.BLOCK_ROWS * t.n_modes * 8
 
     @pytest.mark.parametrize("dephasing_rate", [3e13, 1e14, 3e14])
     def test_interpolated_basis_over_linewidths(self, dephasing_rate):

@@ -8,12 +8,13 @@ consistency of converged photons with quasi_steady_photon, and agreement
 with long time integration anchor the solver.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from photherm import atoms, kinetics, steady
+from photherm import atoms, bands, kinetics, steady
 from photherm.integrate import integrate
 from photherm.params import apply_scale, preset
 
@@ -130,6 +131,40 @@ def test_reduced_scale_newton_steps(name, reduced_table):
     )
     res = steady.solve_steady(steady.seed_guess(t), t, tol=TOL)
     assert res.converged and res.iterations["newton"] == REDUCED_STEPS[name]
+
+
+def test_abstract_steady_trends(reduced_table, reduced_bands):
+    """The abstract: band-gap suppression of thermal emission is more
+    pronounced with weaker light-matter interaction or larger photon decay.
+    Over atom_density and photon_loss_rate from eq-strong, the in-gap probe's
+    photon number over Bose-Einstein rises strictly with coupling and falls
+    strictly with loss.  The out-of-gap median is printed, not asserted:
+    the Planckian magnitudes are criteria c07 and c08."""
+    p = apply_scale(preset("eq-strong"), "reduced")
+    base = kinetics.build_tables(
+        reduced_table.omega, reduced_table.gamma_conf, atoms.build_grid(p), p
+    )
+    probe = bands.representatives(reduced_table, reduced_bands)["in_gap"]
+    outside = ~bands.in_gap_mask(reduced_table, reduced_bands)
+    be = atoms.bose_einstein(reduced_table.omega, p.temperature)
+    sweeps = {
+        "atom_density": [5e22, 1.6e23, 5e23, 1.6e24, 5e24],
+        "photon_loss_rate": [1e9, 1e10, 1e11, 1e12, 5e12, 2e13],
+    }
+    probe_ratio = {}
+    for name, values in sweeps.items():
+        probe_ratio[name] = []
+        for value in values:
+            # the range basis depends on neither rate: one build serves all
+            t = dataclasses.replace(base, params=p.replace(**{name: value}))
+            res = steady.solve_steady(steady.seed_guess(t), t)
+            assert res.converged and steady.exact_residual(res.state, t) < 1e-10
+            ratio = t.split(res.state)[1] / be
+            probe_ratio[name].append(ratio[probe])
+            print(f"{name}={value:.3g}: in-gap N/BE {ratio[probe]:.4g}, "
+                  f"out-of-gap median {np.median(ratio[outside]):.4g}")
+    assert np.all(np.diff(probe_ratio["atom_density"]) > 0.0)
+    assert np.all(np.diff(probe_ratio["photon_loss_rate"]) < 0.0)
 
 
 @pytest.mark.parametrize("name", FULL_STEPS)
