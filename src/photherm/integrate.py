@@ -4,8 +4,8 @@ scipy's variable-order BDF (Shampine & Reichelt, SIAM J. Sci. Comput. 18,
 1997) with the analytic Jacobian, at TOL_SCALE times the requested
 tolerances so that the global error lands near the requested rtol. BDF's
 Newton matrix I - cJ is never formed: kinetics.ShiftedLU, the steady
-solver's kernel, factors it through the Schur complement of its photon
-block. The hook replaces BDF attributes that are not public scipy API
+solver's kernel, eliminates its photon block and factors only an r x r
+capacitance matrix (Woodbury). The hook replaces BDF attributes that are not public scipy API
 (`_validate_jac`, `J`, `I`, `lu`, `solve_lu`); a test names any that go.
 scipy.integrate and scipy.sparse load when the first solver is built
 (`_schur_bdf`), so importing this module does not load them.

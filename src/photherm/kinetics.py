@@ -15,18 +15,19 @@ The tables hold W only as its range basis, W = Q B within RANGE_RTOL (Q
 orthonormal, n_freqs x r), and every kernel couples through it: rhs and
 affine_coefficients (rhs = a * y + b with a = a0 + a1 * s, b = b0 + b1 * s
 and s = [Q (B N) ; (n Q) B]), the photon fixed point, and ShiftedLU, which
-factors sigma*I - c*J for the Newton step of the steady solver (sigma = 0)
-and the BDF iterations of the time stepper (sigma = 1) through the Schur
-complement of the photon block.  The row and column sums of W come from
-Q B too, so the conserved count is exact for the matrix the kernels use.
-build_tables finds Q and B without a pass over the dense Lorentzian: L is
-analytic in the atom frequency, so a Chebyshev interpolant L = P L_x with
-p nodes (108 for the 500-point grid) reproduces it to rounding, and the
-range finder runs on that.  Dense rows of W come from CouplingTables.w_rows
-alone, which exact_rhs calls BLOCK_ROWS rows at a time to certify a steady
-state once.  Every kernel goes through BLAS and LAPACK, whose results
-depend on the thread count in the last bits: output is bit-reproducible
-only at a fixed thread count.
+solves sigma*I - c*J for the Newton step of the steady solver (sigma = 0)
+and the BDF iterations of the time stepper (sigma = 1) by eliminating the
+photon block and factoring an r x r capacitance matrix (Woodbury).  The
+row and column sums of W come from Q B too, so the conserved count is
+exact for the matrix the kernels use.  build_tables finds Q and B without
+a pass over the dense Lorentzian: L is analytic in the atom frequency, so
+a Chebyshev interpolant L = P L_x with p nodes (108 for the 500-point
+grid) reproduces it to rounding, and the range finder runs on that.  Dense
+rows of W come from CouplingTables.w_rows alone, which exact_rhs calls
+BLOCK_ROWS rows at a time to certify a steady state once.  Every kernel
+goes through numpy's BLAS and LAPACK, whose results depend on the thread
+count in the last bits: output is bit-reproducible only at a fixed thread
+count.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from . import atoms
 from .params import PhysicalParams
@@ -327,18 +327,18 @@ def quasi_steady_photon(n_e: np.ndarray, tables: CouplingTables) -> np.ndarray:
 
 
 class ShiftedLU:
-    """LU factorization of M = sigma*I - c*J, J the Jacobian of rhs at y.
+    """Factorization of M = sigma*I - c*J, J the Jacobian of rhs at y.
 
     J = diag(a) + [[0, diag(e) W], [diag(q) W^T, 0]], with a from
     affine_coefficients and (e, q) = a1 * y + b1.  M's photon block is the
-    diagonal d = sigma - c*a_p, so eliminating it leaves the dense
-    n_freqs x n_freqs Schur complement
-        S = diag(sigma - c*a_e) - diag(c e) W diag(g) W^T,  g = c q / d
-    (Golub & Van Loan, Matrix Computations, sec. 3.2), factored once by
-    LAPACK with W = Q B, the coupling every kernel uses: W diag(g) W^T
-    becomes Q (B diag(g) B^T) Q^T, and each solve is four thin gemv calls
-    and one triangular pair.  Newton on rhs = 0 uses sigma = 0, c = -1
-    (M = J); a BDF iteration uses sigma = 1.
+    diagonal d = sigma - c*a_p; eliminating it (Golub & Van Loan, Matrix
+    Computations, sec. 3.2) leaves, with W = Q B and C = B diag(g) B^T,
+        S = diag(D_e) - diag(c e) Q C Q^T,  D_e = sigma - c*a_e,  g = c q / d,
+    a diagonal plus rank r.  The Woodbury identity (Hager, SIAM Rev. 31,
+    1989) solves S through the r x r capacitance matrix K = I - C Q^T U,
+    U = diag(c e / D_e) Q, so S is never formed: K^-1 C is computed once,
+    and a solve is z = rhs_e / D_e, x_e = z + U K^-1 C Q^T z.  Newton on
+    rhs = 0 uses sigma = 0, c = -1 (M = J); a BDF iteration uses sigma = 1.
     """
 
     def __init__(
@@ -353,18 +353,17 @@ class ShiftedLU:
         eq = tables.a1 * y + tables.b1
         self.Q, self.B = tables.Q, tables.B
         self.ce = c * eq[:nf]
+        self.De = sigma - c * a[:nf]
         self.d = sigma - c * a[nf:]
         self.g = c * eq[nf:] / self.d
-        schur = (self.B * self.g) @ self.B.T
-        if self.Q.shape[1] < nf:
-            schur = self.Q @ schur @ self.Q.T
-        schur *= -self.ce[:, None]
-        schur[np.diag_indices(nf)] += sigma - c * a[:nf]
-        self.lu = lu_factor(schur, overwrite_a=True, check_finite=False)
+        self.U = self.Q * (self.ce / self.De)[:, None]
+        C = (self.B * self.g) @ self.B.T
+        self.KC = np.linalg.solve(np.eye(C.shape[0]) - C @ (self.Q.T @ self.U), C)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """x with M x = r."""
         nf, Q, B = self.ce.size, self.Q, self.B
         r_p = r[nf:] / self.d
-        x_e = lu_solve(self.lu, r[:nf] + self.ce * (Q @ (B @ r_p)), check_finite=False)
+        z = (r[:nf] + self.ce * (Q @ (B @ r_p))) / self.De
+        x_e = z + self.U @ (self.KC @ (z @ Q))
         return np.concatenate([x_e, r_p + self.g * ((x_e @ Q) @ B)])

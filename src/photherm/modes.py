@@ -91,20 +91,23 @@ class ModeTable:
         return self.gamma_conf > even * (1.0 + CLASS_RTOL)
 
     def save(self, path: str | Path) -> None:
-        """Write a hidden .part file beside path, then rename it onto path: a
-        run killed mid-save leaves no truncated table under any .npz name."""
+        """Write a hidden .part file beside path, then rename it onto path (a
+        killed save leaves no truncated .npz; one that raises, no .part)."""
         path = Path(path)
         part = path.with_name(f".{path.name}.{os.getpid()}.part")
-        with open(part, "wb") as f:  # a bare file name would get .npz appended
-            np.savez_compressed(
-                f,
-                omega=self.omega,
-                gamma_conf=self.gamma_conf,
-                m_peak=self.m_peak,
-                census_version=CENSUS_VERSION,
-                geometry=np.array(self.params.census_geometry()),
-            )
-        os.replace(part, path)
+        try:
+            with open(part, "wb") as f:  # a bare file name would get .npz appended
+                np.savez_compressed(
+                    f,
+                    omega=self.omega,
+                    gamma_conf=self.gamma_conf,
+                    m_peak=self.m_peak,
+                    census_version=CENSUS_VERSION,
+                    geometry=np.array(self.params.census_geometry()),
+                )
+            os.replace(part, path)
+        finally:
+            part.unlink(missing_ok=True)
 
     @classmethod
     def load(cls, path: str | Path, params: PhysicalParams) -> "ModeTable | None":

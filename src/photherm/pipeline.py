@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import time
+import zipfile
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -136,7 +137,10 @@ def load_or_solve_modes(
 ) -> tuple[modes.ModeTable, bool]:
     """Load the eigenmode census from the geometry-keyed cache, else solve."""
     cache = Path(out_dir) / "cache" / f"modes-{params.mode_cache_key()}.npz"
-    table = modes.ModeTable.load(cache, params) if cache.exists() else None
+    try:
+        table = modes.ModeTable.load(cache, params) if cache.exists() else None
+    except (EOFError, ValueError, zipfile.BadZipFile):  # empty, truncated, not a zip
+        table = None
     if table is not None:
         return table, True
     table = modes.solve_modes(params)

@@ -1,16 +1,15 @@
-"""Dense Newton solver for fixed points of the kinetic equations.
+"""Newton solver for fixed points of the kinetic equations.
 
 Finds states where the coupled electron/photon rate equations vanish.  The
 photon block is linear in the photon numbers at frozen occupations, so the
 photons are eliminated exactly (the Schur complement of the Jacobian's
 diagonal photon block, kinetics.ShiftedLU, the kernel the time stepper's
-BDF iterations also use) and Newton runs on the dense electron-only system,
-whose size is the atom grid rather than the atom grid plus every cavity
-mode.  This stays well conditioned near electron saturation, where the full
-system becomes too non-normal for a usable descent direction.  A
-backtracking line search accepts a step only when the residual of the full
-system strictly decreases, so convergence is always certified on the full
-system.
+BDF iterations also use) and Newton runs on the electron-only system, a
+diagonal plus rank r, solved in r x r (Woodbury).  This stays well
+conditioned near electron saturation, where the full system becomes too
+non-normal for a usable descent direction.  A backtracking line search
+accepts a step only when the residual of the full system strictly
+decreases, so convergence is always certified on the full system.
 
 Convergence is measured by a dimensionless residual: the Euclidean norm of
 the right-hand side divided by the state norm times the fastest rate in the
@@ -108,13 +107,13 @@ def solve_steady(
 
     The guess is projected onto the simplex; each step then solves the
     Newton system at the current occupations, photons at their conditional
-    fixed point, by the LU of its photon-eliminated Schur complement
-    (kinetics.ShiftedLU at sigma = 0), and moves the occupations, with
-    photons following at their conditional fixed point.  A trial step is
-    accepted only when the full scaled residual strictly decreases, halving
-    the step at most ten times.  A singular Jacobian, inverted gain at the
-    current occupations, a stalled line search or an exhausted step budget
-    returns the best state found, flagged unconverged.
+    fixed point, through its photon-eliminated Schur complement and the
+    Woodbury identity (kinetics.ShiftedLU at sigma = 0), and moves the
+    occupations, photons following at their conditional fixed point.  A
+    trial step is accepted only when the full scaled residual strictly
+    decreases, halving the step at most ten times.  A singular Jacobian,
+    inverted gain at the current occupations, a stalled line search or an
+    exhausted step budget returns the best state found, flagged unconverged.
     """
     guess = np.asarray(guess, dtype=float)
     n_total = tables.n_freqs + tables.n_modes

@@ -278,16 +278,15 @@ def test_dynamics_reruns_identical_and_thread_counts_agree(tmp_path):
 
 
 def test_cli_import_leaves_integrator_unloaded():
-    """scipy.integrate and scipy.sparse load with the first integration, not on
-    import: neither `import photherm.cli` nor importing every submodule loads
-    them."""
+    """scipy loads with the first integration, not on import: neither
+    `import photherm.cli` nor importing every submodule loads any scipy
+    module."""
     src = str(Path(photherm.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import importlib, pkgutil, sys, photherm.cli\n"
-        "heavy = ('scipy.integrate', 'scipy.sparse')\n"
-        "loaded = lambda: [m for m in sys.modules if m.startswith(heavy)]\n"
+        "loaded = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "assert not loaded(), loaded()\n"
         "import photherm\n"
         "names = [m.name for m in pkgutil.iter_modules(photherm.__path__)]\n"
@@ -358,8 +357,9 @@ class TestSingleCommands:
         assert len(cache) == 1
 
     def test_interrupted_cache_save_leaves_no_table(self, tmp_path, capsys, monkeypatch):
-        # a census save that dies after writing leaves nothing at the cache
-        # path, so the next run in that directory solves the census again
+        # a census save that dies after writing leaves nothing in the cache,
+        # neither the table nor its .part file, so the next run in that
+        # directory solves the census again
         write = np.savez_compressed
 
         def die(file, **arrays):
@@ -371,7 +371,7 @@ class TestSingleCommands:
             patch.setattr(np, "savez_compressed", die)
             assert main(args) == 1
         assert "No space left on device" in capsys.readouterr().err
-        assert list((tmp_path / "cache").glob("modes-*.npz")) == []
+        assert list((tmp_path / "cache").iterdir()) == []
         assert main(args) == 0
         m = json.loads((tmp_path / "run-manifest.json").read_text())
         assert m["metrics"]["modes"]["cache_hit"] is False
@@ -379,6 +379,21 @@ class TestSingleCommands:
         assert main(args) == 0
         m = json.loads((tmp_path / "run-manifest.json").read_text())
         assert m["metrics"]["modes"]["cache_hit"] is True
+
+    @pytest.mark.parametrize("damage", ["empty", "truncated", "not a zip"])
+    def test_unreadable_cache_is_a_miss(self, tmp_path, damage):
+        # a table that will not load is solved again and overwritten
+        args = ["modes", "--out-dir", str(tmp_path), *FAST[:4]]
+        assert main(args) == 0
+        (cache,) = (tmp_path / "cache").glob("modes-*.npz")
+        data = cache.read_bytes()
+        cache.write_bytes(
+            {"empty": b"", "truncated": data[: len(data) // 2], "not a zip": b"modes"}[damage]
+        )
+        for hit in (False, True):
+            assert main(args) == 0
+            m = json.loads((tmp_path / "run-manifest.json").read_text())
+            assert m["metrics"]["modes"]["cache_hit"] is hit
 
     def test_steady_seeded_from_state_file(self, pipe_dir, tmp_path):
         code = main(

@@ -514,6 +514,28 @@ class TestShiftedLU:
     def test_mid_rank_solve_matches_dense(self, mid_rank_tables, kind, sigma, c):
         self.test_solve_matches_dense(mid_rank_tables, kind, sigma, c)
 
+    @pytest.fixture(scope="class")
+    def noneq_steady(self, full_tables):
+        t = dataclasses.replace(full_tables, params=preset("noneq"))
+        result = steady.solve_steady(steady.seed_guess(t), t)
+        assert result.converged and t.split(result.state)[0].max() > 0.49
+        return t, result.state
+
+    @pytest.mark.parametrize("sigma, c", [(0.0, -1.0), (1.0, 1e-10), (1.0, 1e-8)])
+    def test_full_scale_solve_at_noneq_steady_state(self, noneq_steady, sigma, c):
+        # near the gain threshold at full scale; M x is applied through Q B
+        # from the rate equations, so the 6874 x 6874 J is never formed
+        t, y = noneq_steady
+        a = kinetics.affine_coefficients(y, t)[0]
+        r = np.random.default_rng(3).standard_normal(y.size)
+        x = kinetics.ShiftedLU(y, t, sigma, c, a).solve(r)
+        (n, N), (x_e, x_p) = t.split(y), t.split(x)
+        Jx = a * x + t.pack(
+            -t.params.g_atom * (2.0 * n - 1.0) * (t.Q @ (t.B @ x_p)),
+            t.params.g_photon * (2.0 * N + 1.0) * ((x_e @ t.Q) @ t.B),
+        )
+        assert np.linalg.norm(sigma * x - c * Jx - r) <= 1e-9 * np.linalg.norm(r)
+
 
 class TestTotalExcitation:
     def test_zero_state(self, reduced_tables):
