@@ -7,8 +7,8 @@ Newton matrix I - cJ is never formed: kinetics.ShiftedLU, the steady
 solver's kernel, eliminates its photon block and factors only an r x r
 capacitance matrix (Woodbury). The hook replaces BDF attributes that are not public scipy API
 (`_validate_jac`, `J`, `I`, `lu`, `solve_lu`); a test names any that go.
-scipy.integrate and scipy.sparse load when the first solver is built
-(`_schur_bdf`), so importing this module does not load them.
+scipy.integrate and scipy.sparse load when the solver class is first built
+(`schur_bdf`), so importing this module does not load them.
 Snapshots come from BDF's dense output, clamped onto the physical simplex
 when they leave it by less than 10 * (atol + rtol * scale); larger
 excursions abort.
@@ -90,7 +90,7 @@ class _Jacobian:
 
 
 @functools.cache
-def _schur_bdf() -> type:
+def schur_bdf() -> type:
     """scipy's BDF with its Newton matrix I - cJ factored by kinetics.ShiftedLU."""
     from scipy.integrate import BDF
     from scipy.sparse import csc_matrix
@@ -170,7 +170,7 @@ def integrate(
         a, b = affine_coefficients(state, tables)
         return a * state + b
 
-    solver = _schur_bdf()(
+    solver = schur_bdf()(
         fun, 0.0, y, t_end, tables, rtol=TOL_SCALE * rtol, atol=TOL_SCALE * atol
     )
     attempts, last_t = 0, None  # start-up evaluations are no step attempts

@@ -8,22 +8,28 @@ plane leaves u continuous and jumps the derivative:
     u'(z_i+) - u'(z_i-) = -q^2 * eta * u(z_i)
 
 The working pair is (u, w) with w = u' / q, shot from z = 0 with
-(u, w) = (0, 1): free propagation is a pure rotation by q*d and a plane
-crossing is the shear w -> w - q*eta*u. Eigenfrequencies come from the
-Pruefer phase Theta of (u, w) at z = L: floor(Theta/pi) is the exact number
-of eigenfrequencies below any frequency (`count_below`), and the k-th root
-is where Theta = k*pi. Every root is refined inside its Sturm-count bracket
-by safeguarded secant steps on Theta - k*pi, all roots together
-(`scan_eigenfrequencies`, through the `refine_roots` loop that also finds
-the band-gap edges in `bands`). The same phase, stopped just left of the
-last plane at L_c, gives the number of positive field maxima inside the stack
-in closed form (`count_peaks`). The normalization and the confinement
-factor come in closed form from the phases the same propagation passes at
-the planes (`normalize_modes`): free flight keeps the amplitude R of
-(u, w) = R (sin Theta, cos Theta), each plane multiplies R^2 by a factor
-read off its arriving phase, and every region's integral of u^2 follows
-from R^2 and the phases at its two ends. There is one loop over the planes,
-in `_pruefer_phase`.
+(u, w) = (0, 1) and carried as the complex field w + i*u: free flight over a
+distance d multiplies it by e^(i*q*d), and a plane crossing is the shear
+w -> w - q*eta*u. Plane i sits at i * plane_spacing, so every flight up to
+the last plane is the same rotation, computed once per call, and the loop
+over the planes (`_pruefer_phase`) holds one complex product and one shear
+per plane, with no transcendental. The Pruefer phase Theta = arg(w + i*u)
+is needed only at the end: each flight adds its whole half-turns, read off
+its own sine, and one more where the parity of floor(Theta/pi) - the sign
+of u, never changed by a shear - says it crossed another multiple of pi;
+one angle at the end gives the residual. floor(Theta(L)/pi) is the exact
+number of eigenfrequencies below any frequency (`count_below`), and the
+k-th root is where Theta = k*pi. Every root is refined inside its
+Sturm-count bracket by safeguarded secant steps on Theta - k*pi, all roots
+together (`scan_eigenfrequencies`, through the `refine_roots` loop that also
+finds the band-gap edges in `bands`). The same shot, stopped just left of
+the last plane at L_c, gives the number of positive field maxima inside the
+stack in closed form (`count_peaks`). The normalization and the confinement
+factor are polynomial in the field the shot stores at the planes
+(`normalize_modes`): free flight keeps R^2 = u^2 + w^2, and a region holds
+R^2 d/2 - (u_b w_b - u_a w_a)/(2q) between its ends. A plane grows the
+field by at most 1 + q*eta, so an exact power-of-two rescale at planes
+spaced by that bound keeps a long stack of strong planes finite.
 """
 
 from __future__ import annotations
@@ -46,14 +52,14 @@ ROOT_RTOL = 1e-12
 # Relative margin of the crystal-class threshold Gamma > L_c/L. Modes with a
 # node on every plane have Gamma exactly L_c/L: at eta = 0 those with 2n*L_c/L
 # an integer, at any eta the Bragg frequencies m*pi*c/l_p that are
-# eigenfrequencies. At the latter, Gamma moves by about 5e-10 * m^2 *
-# eta / 2.1e-5 for a root off by ROOT_RTOL / 4: up to 6.6e-7 at 48 times the
-# default plane strength, while no other mode came within 4e-6 of the
-# threshold at 1e-3 to 48 times that strength.
+# eigenfrequencies. At the latter, Gamma moves by 5.1e-10 (reduced scale) to
+# 5.6e-10 (full) * m^2 * eta / 2.1e-5 for a root off by ROOT_RTOL / 4: up to
+# 6.7e-7 at 48 times the default plane strength, while no other mode came
+# within 4.1e-6 of the threshold at 1e-3 to 48 times that strength.
 CLASS_RTOL = 1e-6
 # Format of a saved ModeTable; a file with another (or no) version is stale
 # and solved again. Raise it whenever a saved field changes layout or value.
-CENSUS_VERSION = 7
+CENSUS_VERSION = 8
 
 
 @dataclass
@@ -128,43 +134,69 @@ class ModeTable:
 # ----------------------------------------------------------------------
 
 
+def _flight(phase: np.ndarray):
+    """Rotation e^(i*phase) of w + i*u over one free flight, and its whole half-turns.
+
+    The half-turns are read off the applied sin(phase), so that they agree with
+    the rotation actually applied where phase lies within rounding of a
+    multiple of pi: sin(phase) = (-1)^n sin(phase - n*pi) for the nearest
+    multiple n*pi, and it is never 0 for phase > 0.
+    """
+    rot = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=rot.real)
+    s = np.sin(phase, out=rot.imag)
+    n = np.rint(phase / np.pi).astype(np.int64)
+    return rot, n - ((s < 0.0) != (n & 1))
+
+
 def _pruefer_phase(q: np.ndarray, params: PhysicalParams, end: float):
     """Pruefer phase Theta = m*pi + rho of the pair shot from z = 0, at z = end.
 
-    Returns (m, rho, rho_planes) with integer m and residual rho in [0, pi)
-    at `end`, and rho_planes of shape (q.size, n) holding the residual phase
-    arriving at each of the n planes strictly before `end`, before its
-    shear. A plane sitting at `end` is left out, so the phase is the one
-    just left of it.
+    Returns (m, rho, (field, exponent)) with integer m and residual rho in
+    [0, pi) at `end`. field holds w + i*u arriving at z = 0, at each of the n
+    planes strictly before `end` (before its shear) and at `end`, shape
+    (n + 2, q.size); the true field of row j is field[j] * 2**exponent[j]. A
+    plane sitting at `end` is left out, so the phase is the one just left of it.
 
-    Free propagation advances Theta rigidly by q*d; a plane shear (u fixed,
-    w reduced by q*eta*u) moves Theta forward but never across a multiple
-    of pi, where u = 0. Carrying m apart from rho keeps the shear branch
-    exact even at the Bragg frequencies m*pi*c/l_p, where every plane sits
-    at a phase multiple of pi and a plain accumulated phase loses the branch
-    to rounding. The whole turns m gains are the ones np.mod takes off, so
-    Theta stays continuous where an advance lands within an ulp of a
-    multiple of pi.
+    Plane i sits at i*l_p, so every flight up to the last plane is one rotation
+    by q*l_p, computed once, and the loop holds one complex product and one
+    shear per plane. A shear (u fixed, w reduced by q*eta*u) moves Theta
+    forward but never across a multiple of pi, where u = 0, so it keeps the
+    parity of floor(Theta/pi). A flight adds its whole half-turns to m, and one
+    more where that parity says Theta crossed another multiple of pi. At `end`
+    rho comes from one angle; where that angle rounds onto the next multiple
+    of pi, m takes that half-turn too, so that Theta stays continuous. A shear
+    grows the amplitude by at most 1 + q*eta, so a rescale by an exact power of
+    two every `every` planes, at the same planes for every q, keeps the
+    amplitude within 2**+-500 and its square a normal double.
     """
-    eta = params.plane_strength
-    planes = params.plane_positions
-    planes = planes[planes < end]
-    m = np.zeros(q.shape, dtype=np.int64)
-    rho = np.zeros_like(q)
-    rho_planes = np.empty((q.size, planes.size))
-    prev = 0.0
-    for i, z in enumerate(planes):
-        adv = rho + q * (z - prev)
-        rho = rho_planes[:, i] = np.mod(adv, np.pi)
-        m += np.rint((adv - rho) / np.pi).astype(np.int64)
-        if eta != 0.0:
-            s, c = np.sin(rho), np.cos(rho)  # s >= 0 since rho in [0, pi)
-            rho = np.mod(np.arctan2(s, c - q * eta * s), np.pi)
-        prev = z
-    adv = rho + q * (end - prev)
-    rho = np.mod(adv, np.pi)
-    m += np.rint((adv - rho) / np.pi).astype(np.int64)
-    return m, rho, rho_planes
+    eta, l_p = params.plane_strength, params.plane_spacing
+    n = int(np.count_nonzero(params.plane_positions < end))
+    rot, turns = _flight(q * l_p)
+    rot_end, turns_end = _flight(q * (end - n * l_p))
+    growth = math.log2(1.0 + eta * np.abs(q).max(initial=0.0))
+    every = int(max(1, min(n + 1, 500 // growth))) if growth > 0.0 else n + 1
+    q_eta = q * eta
+    field = np.empty((n + 2, q.size), dtype=complex)
+    field[0] = 1.0  # (u, w) = (0, 1)
+    exponent = np.zeros(field.shape, dtype=np.int64)
+    for i in range(1, n + 1):
+        np.multiply(field[i - 1] - q_eta * field[i - 1].imag, rot, out=field[i])
+        if i % every == 0:
+            _, e = np.frexp(np.abs(field[i]))
+            field[i] *= np.ldexp(1.0, -e)
+            exponent[i:] = exponent[i - 1] + e
+    np.multiply(field[n] - q_eta * field[n].imag, rot_end, out=field[n + 1])
+    u, w = field.imag, field.real
+    odd = (u < 0.0) | ((u == 0.0) & (w < 0.0))  # floor(Theta/pi) is odd
+    flips = np.count_nonzero(odd[1 : n + 1] != (odd[:n] ^ ((turns & 1) == 1)), axis=0)
+    a = np.mod(np.angle(field[-1]), 2.0 * np.pi)
+    half = (a >= np.pi).astype(np.int64) + (a >= 2.0 * np.pi)
+    # the parity at `end` says whether the last flight crossed one more
+    # multiple of pi; an angle rounded onto the next multiple adds one more
+    last = (odd[n] ^ odd[-1] ^ ((turns_end & 1) == 1)) + half - odd[-1]
+    m = n * turns + flips + turns_end + last
+    return m, a - half * np.pi, (field, exponent)
 
 
 def count_below(omega, params: PhysicalParams) -> np.ndarray:
@@ -243,18 +275,16 @@ def refine_roots(lo, hi, f, f_lo=np.nan, f_hi=np.nan) -> tuple[np.ndarray, int]:
 def normalize_modes(omega: np.ndarray, params: PhysicalParams):
     """Normalize each mode to int eps(z) u^2 dz / eps0 = 1, in closed form.
 
-    With (u, w) = R (sin Theta, cos Theta), free flight keeps R and advances
-    Theta by q*d, so a region of length d that the field leaves with phase
-    theta_a and reaches its right end with phase theta_b holds
+    Free flight over a region of length d keeps R^2 = u^2 + w^2, and with
+    (u_a, w_a) leaving its left end and (u_b, w_b) reaching its right end
 
-        int u^2 dz = R^2 [d/2 - (sin 2 theta_b - sin 2 theta_a) / (4q)]
+        int u^2 dz = R^2 d/2 - (u_b w_b - u_a w_a) / (2q)
 
-    A plane reached with residual phase rho, s = sin(rho), c = cos(rho),
-    keeps u = R s and shears w to R g with g = c - q*eta*s: R^2 grows by
-    h = s^2 + g^2, and the phase leaving it has sin 2 theta = 2 s g / h.
-    Region 0 leaves z = 0 with theta = 0 and R = 1; the last region reaches
-    L with the phase at L. All of it comes from the phases `_pruefer_phase`
-    passes at the planes, with no second propagation.
+    A plane keeps u and shears w by -q*eta*u, so (u_a, w_a) comes from the
+    field arriving at the plane. All of it is polynomial in the field
+    `_pruefer_phase` stores at z = 0, the planes and L, with no second
+    propagation; each row's power-of-two exponent enters relative to the
+    mode's largest, so that a long stack of strong planes stays finite.
 
     Returns (u2_planes, segment_integrals), both already scaled: u^2 at each
     plane and the plain integral of u^2 over each region, from [0, z_1] to
@@ -262,19 +292,23 @@ def normalize_modes(omega: np.ndarray, params: PhysicalParams):
     part of eps) but are not part of the segment integrals.
     """
     q = np.atleast_1d(np.asarray(omega, dtype=float)) / C
-    _, rho_end, rho = _pruefer_phase(q, params, params.cavity_length)
-    s, c = np.sin(rho), np.cos(rho)
-    g = c - (q * params.plane_strength)[:, None] * s
-    h = s**2 + g**2
-    ones, zeros = np.ones((q.size, 1)), np.zeros((q.size, 1))
-    r2 = np.cumprod(np.hstack([ones, h]), axis=1)  # R^2 in each region
-    sin_arrive = np.hstack([2.0 * s * c, np.sin(2.0 * rho_end)[:, None]])
-    sin_leave = np.hstack([zeros, 2.0 * s * g / h])
-    z_edges = np.concatenate(([0.0], params.plane_positions, [params.cavity_length]))
-    seg = r2 * (0.5 * np.diff(z_edges) - (sin_arrive - sin_leave) / (4.0 * q[:, None]))
-    u2_planes = r2[:, :-1] * s**2
-    scale2 = 1.0 / (seg.sum(axis=1) + params.plane_strength * u2_planes.sum(axis=1))
-    return u2_planes * scale2[:, None], seg * scale2[:, None]
+    eta = params.plane_strength
+    _, _, (field, exponent) = _pruefer_phase(q, params, params.cavity_length)
+    u, w = field.imag, field.real
+    u_a, w_a = u[:-1], w[:-1] - q * eta * u[:-1]
+    d = np.full((params.n_planes + 1, 1), params.plane_spacing)  # as `_pruefer_phase` shoots
+    d[-1] = params.cavity_length - params.crystal_length
+    left = 0.5 * d * (u_a**2 + w_a**2) + u_a * w_a / (2.0 * q)
+    right = u[1:] * w[1:] / (2.0 * q)
+    u2_planes = u[1:-1] ** 2
+    if exponent.any():  # rescaled rows, each weighed against the mode's largest
+        weight = np.ldexp(1.0, 2 * (exponent - exponent.max(axis=0)))
+        left *= weight[:-1]
+        right *= weight[1:]
+        u2_planes *= weight[1:-1]
+    seg = left - right
+    norm = seg.sum(axis=0) + eta * u2_planes.sum(axis=0)
+    return (u2_planes / norm).T, (seg / norm).T
 
 
 def count_peaks(omega: np.ndarray, params: PhysicalParams) -> np.ndarray:
@@ -307,4 +341,7 @@ def solve_modes(params: PhysicalParams) -> ModeTable:
     _, seg = normalize_modes(omega, params)
     n_inside = params.n_planes  # regions [0, z_1], ..., [z_{n-1}, L_c]
     gamma_conf = seg[:, :n_inside].sum(axis=1) / seg.sum(axis=1)
+    bad = ~(np.isfinite(omega) & np.isfinite(gamma_conf))
+    if np.any(bad):
+        raise ValueError(f"census is not finite: {np.count_nonzero(bad)} of {omega.size} modes")
     return ModeTable(omega, gamma_conf, count_peaks(omega, params), params, passes)

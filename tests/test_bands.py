@@ -16,6 +16,9 @@ from photherm import bands, modes
 from photherm.constants import SPEED_OF_LIGHT as C
 from photherm.params import PhysicalParams
 
+# an overflow or invalid operation in the census or the bands fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class TestDispersion:
     def test_trace_reduces_to_cosine_without_planes(self):

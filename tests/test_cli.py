@@ -277,6 +277,33 @@ def test_dynamics_reruns_identical_and_thread_counts_agree(tmp_path):
             assert np.max(np.abs(one[col] - two[col]) / scale) <= 1e-12, (name, col)
 
 
+def test_dynamics_time_leaves_out_the_solver_load(tmp_path):
+    """The first integration in a process loads scipy. The manifest times that
+    load apart, as `dynamics.solver_load_seconds`, and leaves it out of the
+    stage's `wall_seconds`: here an import of scipy.integrate held up by 1 s."""
+    src = str(Path(photherm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    args = ["dynamics", "--out-dir", str(tmp_path), *FAST]
+    code = (
+        "import sys, time\n"
+        "class SlowScipyIntegrate:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy.integrate':\n"
+        "            time.sleep(1.0)\n"
+        "sys.meta_path.insert(0, SlowScipyIntegrate())\n"
+        "from photherm.cli import main\n"
+        f"sys.exit(main({args!r}))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    dyn = json.loads((tmp_path / "run-manifest.json").read_text())["metrics"]["dynamics"]
+    assert dyn["wall_seconds"] < 1.0
+    assert dyn["solver_load_seconds"] >= 1.0
+    assert dyn["method"] == "bdf"
+
+
 def test_cli_import_leaves_integrator_unloaded():
     """scipy loads with the first integration, not on import: neither
     `import photherm.cli` nor importing every submodule loads any scipy

@@ -15,9 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from photherm import bands, modes, pipeline
+from photherm import bands, cli, modes, pipeline
 from photherm.constants import SPEED_OF_LIGHT as C
 from photherm.params import PRESETS, PhysicalParams, apply_scale, preset
+
+# an overflow or invalid operation in the census fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 FULL_EMPTY_COUNT = 6366  # floor(omega_max L / (pi c)) at defaults
 REDUCED_EMPTY_COUNT = 636
@@ -42,10 +45,11 @@ def empty_gamma(n: np.ndarray, ratio: float) -> np.ndarray:
 def reference_region_states(omega, p):
     """Propagate (u, w) = (u, u'/q) from (0, 1) at z = 0 through every region.
 
-    Returns (z_edges, U, W): z_edges is (0, z_1, ..., z_n, L), and U, W of
-    shape (n_modes, n_regions) hold the unnormalized state at each region's
-    left edge. Free flight rotates the pair by q*d; a plane shears w by
-    -q*eta*u.
+    Returns (z_edges, U, W, log_amp): z_edges is (0, z_1, ..., z_n, L), and
+    U, W of shape (n_modes, n_regions) hold the state at each region's left
+    edge divided by its amplitude sqrt(u^2 + w^2), whose log is log_amp, so
+    that a long stack of strong planes does not overflow. Free flight
+    rotates the pair by q*d; a plane shears w by -q*eta*u.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     q = omega / C
@@ -53,15 +57,18 @@ def reference_region_states(omega, p):
     n_regions = z_edges.size - 1
     U = np.empty((omega.size, n_regions))
     W = np.empty((omega.size, n_regions))
-    u, w = np.zeros_like(q), np.ones_like(q)
+    log_amp = np.empty((omega.size, n_regions))
+    u, w, log_r = np.zeros_like(q), np.ones_like(q), np.zeros_like(q)
     for r in range(n_regions):
-        U[:, r], W[:, r] = u, w
+        amp = np.hypot(u, w)
+        u, w, log_r = u / amp, w / amp, log_r + np.log(amp)
+        U[:, r], W[:, r], log_amp[:, r] = u, w, log_r
         phi = q * (z_edges[r + 1] - z_edges[r])
         cp, sp = np.cos(phi), np.sin(phi)
         u, w = u * cp + w * sp, -u * sp + w * cp
         if r + 1 < n_regions:  # interior edge: a plane
             w = w - q * p.plane_strength * u
-    return z_edges, U, W
+    return z_edges, U, W, log_amp
 
 
 def reference_normalization(omega, p):
@@ -70,16 +77,19 @@ def reference_normalization(omega, p):
     For u(s) = u0 cos(q s) + w0 sin(q s) on [0, d]:
     int u^2 ds = d (u0^2 + w0^2)/2 + sin(2qd) (u0^2 - w0^2)/(4q)
                  + u0 w0 (1 - cos(2qd))/(2q)
+    Each region is weighed by its squared amplitude relative to the mode's
+    largest.
     """
-    z_edges, U, W = reference_region_states(omega, p)
+    z_edges, U, W, log_amp = reference_region_states(omega, p)
     q = (np.atleast_1d(omega) / C)[:, None]
     d = np.diff(z_edges)[None, :]
-    seg = (
+    weight = np.exp(2.0 * (log_amp - log_amp.max(axis=1, keepdims=True)))
+    seg = weight * (
         0.5 * d * (U**2 + W**2)
         + np.sin(2.0 * q * d) / (4.0 * q) * (U**2 - W**2)
         + U * W * (1.0 - np.cos(2.0 * q * d)) / (2.0 * q)
     )
-    u2 = U[:, 1:] ** 2  # u at plane i enters region i + 1
+    u2 = weight[:, 1:] * U[:, 1:] ** 2  # u at plane i enters region i + 1
     total = seg.sum(axis=1) + p.plane_strength * u2.sum(axis=1)
     return u2 / total[:, None], seg / total[:, None]
 
@@ -97,7 +107,7 @@ def sampled_peak_count(omega, p, per_wavelength=400, chunk=128):
     counts = np.empty(omega.size, dtype=np.int64)
     for a in range(0, omega.size, chunk):
         om = omega[a : a + chunk]
-        _, U, W = reference_region_states(om, p)
+        _, U, W, _ = reference_region_states(om, p)
         U, W = U[:, : p.n_planes, None], W[:, : p.n_planes, None]
         phase = (om / C)[:, None, None] * s
         c, sn = np.cos(phase), np.sin(phase)
@@ -281,6 +291,32 @@ class TestWithPlanes:
         assert np.all(np.abs(table.gamma_conf[bragg] / even - 1.0) < modes.CLASS_RTOL)
         assert not np.any(table.is_crystal[bragg])
 
+    @pytest.mark.parametrize("scale", ["full", "reduced"])
+    @pytest.mark.parametrize("factor", [0.25, 1.0, 4.0])
+    def test_phase_continuous_at_bragg_eigenfrequencies(self, scale, factor):
+        # the loaded twin of the empty-cavity check: at a Bragg frequency
+        # m pi c / l_p every plane sits on a node, so every flight ends within
+        # rounding of a multiple of pi; points a few ulps either side of the
+        # k-th root (0-based) must read Theta - (k+1) pi near 0, never near
+        # +-pi, and the count must step from k to k+1 in between
+        p = apply_scale(PhysicalParams(), scale)
+        p = p.replace(plane_strength=factor * p.plane_strength)
+        period = math.pi * C / p.plane_spacing
+        bragg = period * np.arange(1, math.floor(p.omega_max / period) + 1)
+        assert bragg.size == 5
+        omega, _ = modes.scan_eigenfrequencies(p)
+        k = np.searchsorted(omega, bragg * (1.0 - 1e-9))
+        assert np.all(np.abs(omega[k] / bragg - 1.0) < 1e-11)
+        steps = np.arange(-8, 9) * np.finfo(float).eps
+        om = (bragg[:, None] * (1.0 + steps)).ravel()
+        m, rho, _ = modes._pruefer_phase(om / C, p, p.cavity_length)
+        theta = ((m - np.repeat(k + 1, steps.size)) * math.pi + rho).reshape(-1, steps.size)
+        assert np.max(np.abs(theta)) < 1e-9
+        counts = modes.count_below(om, p).reshape(theta.shape)
+        assert np.array_equal(counts, k[:, None] + (theta >= 0.0))
+        assert np.all(np.diff(counts, axis=1) >= 0)
+        assert np.array_equal(counts[:, 0], k) and np.array_equal(counts[:, -1], k + 1)
+
     def test_gamma_bounds(self, full_table):
         assert np.all(full_table.gamma_conf > 0.0)
         assert np.all(full_table.gamma_conf < 1.0)
@@ -315,6 +351,74 @@ def test_sturm_spectrum_over_plane_strength(reduced_params, eta):
     assert np.all(np.diff(omega) > 0.0)
     assert np.array_equal(modes.count_below(omega * (1.0 - EPS), p), k)
     assert np.array_equal(modes.count_below(omega * (1.0 + EPS), p), k + 1)
+
+
+def test_long_strong_stack_census_is_finite():
+    """300 planes of strength 1e-3 m below 1e14 rad/s: a plane can grow the
+    field by up to 1 + q*eta = 334, so an unscaled shot overflows, and the
+    per-plane phase loop wrote NaN confinement factors for 880 of the 1,554
+    modes. The census must be finite and the Sturm spectrum. Gamma of the
+    band-edge modes here moves by up to 4.3e-9 for a 1e-16 relative change of
+    omega, so the float reference and the census agree to about 3.4e-10."""
+    p = PhysicalParams(n_planes=300, plane_strength=1e-3, omega_max=1e14)
+    table = modes.solve_modes(p)
+    k = np.arange(table.n_modes)
+    assert table.n_modes == 1554
+    assert np.all(np.isfinite(table.gamma_conf))
+    assert np.all(np.diff(table.omega) > 0.0)
+    assert np.array_equal(modes.count_below(table.omega * (1.0 - EPS), p), k)
+    assert np.array_equal(modes.count_below(table.omega * (1.0 + EPS), p), k + 1)
+    assert np.max(norm_residuals(table.omega, p)) < 1e-10
+    _, seg_ref = reference_normalization(table.omega, p)
+    gamma_ref = seg_ref[:, : p.n_planes].sum(axis=1) / seg_ref.sum(axis=1)
+    assert np.max(np.abs(table.gamma_conf - gamma_ref)) < 1e-9
+
+
+def test_non_finite_census_fails_the_run(tmp_path, monkeypatch):
+    """A census with a NaN confinement factor raises, and `photherm modes`
+    exits 1 without writing modes.csv."""
+    normalize = modes.normalize_modes
+
+    def overflowed(omega, params):
+        u2, seg = normalize(omega, params)
+        seg[len(omega) // 2] = np.nan
+        return u2, seg
+
+    monkeypatch.setattr(modes, "normalize_modes", overflowed)
+    with pytest.raises(ValueError, match="census is not finite: 1 of 644 modes"):
+        modes.solve_modes(apply_scale(PhysicalParams(), "reduced"))
+    assert cli.main(["modes", "--scale", "reduced", "--out-dir", str(tmp_path)]) == 1
+    assert not (tmp_path / "modes.csv").exists()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    spacing=st.floats(min_value=2e-6, max_value=1e-4),
+    fill=st.floats(min_value=0.0, max_value=1.0),
+    eta=st.floats(min_value=0.0, max_value=1e-3),
+)
+def test_census_invariants_over_stacks(spacing, fill, eta):
+    """From one plane to a cavity full of them, at any spacing and strength up
+    to 1e-3 m: the census is the Sturm spectrum, every confinement factor is
+    finite and inside (0, 1), and every mode is normalized."""
+    cavity = 1.2e-3
+    most = math.ceil(cavity / spacing)
+    while most * spacing >= cavity:
+        most -= 1
+    p = PhysicalParams(
+        cavity_length=cavity,
+        plane_spacing=spacing,
+        n_planes=1 + round(fill * (most - 1)),
+        plane_strength=eta,
+        omega_max=2e13,
+    )
+    table = modes.solve_modes(p)
+    k = np.arange(table.n_modes)
+    assert np.all(np.diff(table.omega) > 0.0)
+    assert np.array_equal(modes.count_below(table.omega * (1.0 - EPS), p), k)
+    assert np.array_equal(modes.count_below(table.omega * (1.0 + EPS), p), k + 1)
+    assert np.all((table.gamma_conf > 0.0) & (table.gamma_conf < 1.0))
+    assert np.max(norm_residuals(table.omega, p)) < 1e-10
 
 
 def bisection_passes(lo, hi, at_or_below):
@@ -422,7 +526,8 @@ class TestModeTable:
         # with n_planes in its 6-entry geometry, and versions 4, 5 and 6,
         # whose roots came from bisection and from a phase that jumped by pi
         # within an ulp of its multiples, and whose peak count took in a
-        # maximum on L_c, in today's layout
+        # maximum on L_c, and version 7, whose roots came from a phase
+        # advanced plane by plane, in today's layout
         path = tmp_path / "cache" / f"modes-{reduced_params.mode_cache_key()}.npz"
         path.parent.mkdir()
         t, p = reduced_table, reduced_params
@@ -447,6 +552,7 @@ class TestModeTable:
             dict(census_version=4, geometry=p.census_geometry()),
             dict(census_version=5, geometry=p.census_geometry()),
             dict(census_version=6, geometry=p.census_geometry()),
+            dict(census_version=7, geometry=p.census_geometry()),
         )
         for extra in layouts:
             np.savez_compressed(path, **{**columns, **extra})
