@@ -8,7 +8,8 @@ solver's kernel, eliminates its photon block and factors only an r x r
 capacitance matrix (Woodbury). The hook replaces BDF attributes that are not public scipy API
 (`_validate_jac`, `J`, `I`, `lu`, `solve_lu`); a test names any that go.
 scipy.integrate and scipy.sparse load when the solver class is first built
-(`schur_bdf`), so importing this module does not load them.
+(`_schur_bdf`, or `load_solver`, which times it), so importing this module
+does not load them.
 Snapshots come from BDF's dense output, clamped onto the physical simplex
 when they leave it by less than 10 * (atol + rtol * scale); larger
 excursions abort.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,7 +92,7 @@ class _Jacobian:
 
 
 @functools.cache
-def schur_bdf() -> type:
+def _schur_bdf() -> type:
     """scipy's BDF with its Newton matrix I - cJ factored by kinetics.ShiftedLU."""
     from scipy.integrate import BDF
     from scipy.sparse import csc_matrix
@@ -118,6 +120,14 @@ def schur_bdf() -> type:
             return ShiftedLU(y, self.tables, sigma, c, a)
 
     return SchurBDF
+
+
+def load_solver() -> float:
+    """Build the solver class now, and return the seconds it took: scipy's
+    import on the first call in a process, next to nothing after."""
+    start = time.perf_counter()
+    _schur_bdf()
+    return time.perf_counter() - start
 
 
 def integrate(
@@ -170,7 +180,7 @@ def integrate(
         a, b = affine_coefficients(state, tables)
         return a * state + b
 
-    solver = schur_bdf()(
+    solver = _schur_bdf()(
         fun, 0.0, y, t_end, tables, rtol=TOL_SCALE * rtol, atol=TOL_SCALE * atol
     )
     attempts, last_t = 0, None  # start-up evaluations are no step attempts

@@ -149,14 +149,16 @@ def _flight(phase: np.ndarray):
     return rot, n - ((s < 0.0) != (n & 1))
 
 
-def _pruefer_phase(q: np.ndarray, params: PhysicalParams, end: float):
+def _pruefer_phase(q: np.ndarray, params: PhysicalParams, end: float, keep: bool = False):
     """Pruefer phase Theta = m*pi + rho of the pair shot from z = 0, at z = end.
 
     Returns (m, rho, (field, exponent)) with integer m and residual rho in
-    [0, pi) at `end`. field holds w + i*u arriving at z = 0, at each of the n
-    planes strictly before `end` (before its shear) and at `end`, shape
-    (n + 2, q.size); the true field of row j is field[j] * 2**exponent[j]. A
-    plane sitting at `end` is left out, so the phase is the one just left of it.
+    [0, pi) at `end`. With `keep`, field holds w + i*u arriving at z = 0, at
+    each of the n planes strictly before `end` (before its shear) and at `end`,
+    shape (n + 2, q.size); otherwise only its last row, at `end`. The true
+    field of row j is field[j] * 2**exponent[j], where exponent has one column
+    when nothing was rescaled. A plane sitting at `end` is left out, so the
+    phase is the one just left of it.
 
     Plane i sits at i*l_p, so every flight up to the last plane is one rotation
     by q*l_p, computed once, and the loop holds one complex product and one
@@ -177,18 +179,19 @@ def _pruefer_phase(q: np.ndarray, params: PhysicalParams, end: float):
     growth = math.log2(1.0 + eta * np.abs(q).max(initial=0.0))
     every = int(max(1, min(n + 1, 500 // growth))) if growth > 0.0 else n + 1
     q_eta = q * eta
-    field = np.empty((n + 2, q.size), dtype=complex)
+    rows = n + 2 if keep else 1  # row i is field[i % rows]
+    field = np.empty((rows, q.size), dtype=complex)
     field[0] = 1.0  # (u, w) = (0, 1)
-    exponent = np.zeros(field.shape, dtype=np.int64)
-    for i in range(1, n + 1):
-        np.multiply(field[i - 1] - q_eta * field[i - 1].imag, rot, out=field[i])
-        if i % every == 0:
-            _, e = np.frexp(np.abs(field[i]))
-            field[i] *= np.ldexp(1.0, -e)
-            exponent[i:] = exponent[i - 1] + e
-    np.multiply(field[n] - q_eta * field[n].imag, rot_end, out=field[n + 1])
-    u, w = field.imag, field.real
-    odd = (u < 0.0) | ((u == 0.0) & (w < 0.0))  # floor(Theta/pi) is odd
+    exponent = np.zeros((rows, q.size if every <= n else 1), dtype=np.int64)
+    odd = np.zeros((n + 2, q.size), dtype=bool)  # floor(Theta/pi) is odd
+    for i in range(1, n + 2):
+        prev, cur = field[(i - 1) % rows], field[i % rows]
+        np.multiply(prev - q_eta * prev.imag, rot if i <= n else rot_end, out=cur)
+        if i % every == 0 and i <= n:
+            _, e = np.frexp(np.abs(cur))
+            cur *= np.ldexp(1.0, -e)
+            exponent[i % rows :] = exponent[(i - 1) % rows] + e
+        odd[i] = (cur.imag < 0.0) | ((cur.imag == 0.0) & (cur.real < 0.0))
     flips = np.count_nonzero(odd[1 : n + 1] != (odd[:n] ^ ((turns & 1) == 1)), axis=0)
     a = np.mod(np.angle(field[-1]), 2.0 * np.pi)
     half = (a >= np.pi).astype(np.int64) + (a >= 2.0 * np.pi)
@@ -293,7 +296,7 @@ def normalize_modes(omega: np.ndarray, params: PhysicalParams):
     """
     q = np.atleast_1d(np.asarray(omega, dtype=float)) / C
     eta = params.plane_strength
-    _, _, (field, exponent) = _pruefer_phase(q, params, params.cavity_length)
+    _, _, (field, exponent) = _pruefer_phase(q, params, params.cavity_length, keep=True)
     u, w = field.imag, field.real
     u_a, w_a = u[:-1], w[:-1] - q * eta * u[:-1]
     d = np.full((params.n_planes + 1, 1), params.plane_spacing)  # as `_pruefer_phase` shoots
@@ -301,11 +304,11 @@ def normalize_modes(omega: np.ndarray, params: PhysicalParams):
     left = 0.5 * d * (u_a**2 + w_a**2) + u_a * w_a / (2.0 * q)
     right = u[1:] * w[1:] / (2.0 * q)
     u2_planes = u[1:-1] ** 2
-    if exponent.any():  # rescaled rows, each weighed against the mode's largest
-        weight = np.ldexp(1.0, 2 * (exponent - exponent.max(axis=0)))
-        left *= weight[:-1]
-        right *= weight[1:]
-        u2_planes *= weight[1:-1]
+    # each row weighed against the mode's largest; all ones where nothing was rescaled
+    weight = np.ldexp(1.0, 2 * (exponent - exponent.max(axis=0)))
+    left *= weight[:-1]
+    right *= weight[1:]
+    u2_planes *= weight[1:-1]
     seg = left - right
     norm = seg.sum(axis=0) + eta * u2_planes.sum(axis=0)
     return (u2_planes / norm).T, (seg / norm).T

@@ -359,7 +359,8 @@ def test_long_strong_stack_census_is_finite():
     per-plane phase loop wrote NaN confinement factors for 880 of the 1,554
     modes. The census must be finite and the Sturm spectrum. Gamma of the
     band-edge modes here moves by up to 4.3e-9 for a 1e-16 relative change of
-    omega, so the float reference and the census agree to about 3.4e-10."""
+    omega, so the float reference and the census agree to about 3.4e-10, not
+    to 1e-10; the bound sits just above that gap."""
     p = PhysicalParams(n_planes=300, plane_strength=1e-3, omega_max=1e14)
     table = modes.solve_modes(p)
     k = np.arange(table.n_modes)
@@ -371,7 +372,7 @@ def test_long_strong_stack_census_is_finite():
     assert np.max(norm_residuals(table.omega, p)) < 1e-10
     _, seg_ref = reference_normalization(table.omega, p)
     gamma_ref = seg_ref[:, : p.n_planes].sum(axis=1) / seg_ref.sum(axis=1)
-    assert np.max(np.abs(table.gamma_conf - gamma_ref)) < 1e-9
+    assert np.max(np.abs(table.gamma_conf - gamma_ref)) < 5e-10
 
 
 def test_non_finite_census_fails_the_run(tmp_path, monkeypatch):
