@@ -28,52 +28,48 @@ def build_grid(params: PhysicalParams) -> np.ndarray:
     return delta * np.arange(1, n_freqs + 1, dtype=float)
 
 
+def _thermal(law, omega, temperature: float, center: float | None = None):
+    """law(x) at x = hbar*omega/kT, or hbar*(center - omega)/kT given a
+    center; a scalar omega gives a float."""
+    if temperature <= 0.0:
+        raise ValueError("temperature must be positive")
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    out = law(HBAR * (w if center is None else center - w) / (BOLTZMANN * temperature))
+    return float(out[0]) if np.ndim(omega) == 0 else out
+
+
+def _fermi_law(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    small = x < EXP_ARG_MAX
+    out[small] = 1.0 / (1.0 + np.exp(x[small]))
+    out[~small] = np.exp(-np.clip(x[~small], None, 2.0 * EXP_ARG_MAX))
+    return out
+
+
 def fermi_dirac(omega, temperature: float):
     """Equilibrium upper-level population 1/(1 + exp(hbar*omega/kT)).
 
     Monotone decreasing, 1/2 at omega=0; for arguments beyond EXP_ARG_MAX the
     closed form underflows smoothly through the exp(-x) asymptote.
     """
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
-    x = HBAR * np.atleast_1d(np.asarray(omega, dtype=float)) / (
-        BOLTZMANN * temperature
-    )
-    out = np.empty_like(x)
-    small = x < EXP_ARG_MAX
-    out[small] = 1.0 / (1.0 + np.exp(x[small]))
-    out[~small] = np.exp(-np.clip(x[~small], None, 2.0 * EXP_ARG_MAX))
-    if np.ndim(omega) == 0:
-        return float(out[0])
-    return out
+    return _thermal(_fermi_law, omega, temperature)
 
 
-def pump_rate(omega, temperature: float, params: PhysicalParams):
-    """Excitation rate Lambda_0 * exp(hbar*(omega_0 - omega)/kT).
+def pump_rate(omega, params: PhysicalParams):
+    """Excitation rate Lambda_0 * exp(hbar*(omega_0 - omega)/kT), T = params.temperature.
 
     Grows exponentially below the gate frequency omega_0; the exponent is
     clipped at EXP_ARG_MAX so far-below-gate values saturate instead of
     overflowing.
     """
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
-    x = HBAR * (params.pump_center - np.atleast_1d(np.asarray(omega, dtype=float))) / (
-        BOLTZMANN * temperature
+    return _thermal(
+        lambda x: params.pump_amplitude * np.exp(np.clip(x, -EXP_ARG_MAX, EXP_ARG_MAX)),
+        omega, params.temperature, params.pump_center,
     )
-    out = params.pump_amplitude * np.exp(np.clip(x, -EXP_ARG_MAX, EXP_ARG_MAX))
-    if np.ndim(omega) == 0:
-        return float(out[0])
-    return out
 
 
 def bose_einstein(omega, temperature: float):
     """Planck occupation 1/(expm1(hbar*omega/kT)); equals n/(1-2n) at n = fermi_dirac."""
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
-    x = HBAR * np.atleast_1d(np.asarray(omega, dtype=float)) / (
-        BOLTZMANN * temperature
+    return _thermal(
+        lambda x: 1.0 / np.expm1(np.clip(x, 1e-300, EXP_ARG_MAX)), omega, temperature
     )
-    out = 1.0 / np.expm1(np.clip(x, 1e-300, EXP_ARG_MAX))
-    if np.ndim(omega) == 0:
-        return float(out[0])
-    return out

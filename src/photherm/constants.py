@@ -15,7 +15,6 @@ from typing import Final
 SPEED_OF_LIGHT: Final[float] = 3.0e8  # m/s
 BOLTZMANN: Final[float] = 1.380649e-23  # J/K, exact
 ELEMENTARY_CHARGE: Final[float] = 1.602176634e-19  # C, exact
-PLANCK: Final[float] = 6.62607015e-34  # J*s, exact
 
 # hbar = h / (2 pi), written out to keep a single authoritative literal
 HBAR: Final[float] = 1.054571817e-34  # J*s (10 s.f., derived from exact h)
@@ -30,7 +29,6 @@ __all__ = [
     "SPEED_OF_LIGHT",
     "BOLTZMANN",
     "ELEMENTARY_CHARGE",
-    "PLANCK",
     "HBAR",
     "VACUUM_PERMITTIVITY",
 ]

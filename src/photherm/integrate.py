@@ -29,6 +29,8 @@ from .kinetics import CouplingTables, ShiftedLU, affine_coefficients
 T_FLOOR = 1e-16  # earliest log-grid time, s
 TOL_SCALE = 0.4
 POINTS_PER_DECADE = 60  # snapshots per decade of the log-spaced time grid
+RTOL, ATOL = 1e-4, 1e-14  # default requested tolerances
+MAX_STEP_ATTEMPTS = 50_000_000
 
 
 @dataclass
@@ -134,17 +136,16 @@ def integrate(
     y0: np.ndarray,
     t_end: float,
     tables: CouplingTables,
-    rtol: float = 1e-6,
-    atol: float = 1e-14,
+    rtol: float = RTOL,
+    atol: float = ATOL,
     times: np.ndarray | None = None,
     points_per_decade: int = POINTS_PER_DECADE,
-    max_steps: int = 50_000_000,
 ) -> Trajectory:
     """Advance the packed state to t_end, sampling at log-spaced times.
 
     `times` (t=0 is prepended when missing) must increase strictly and end
     at t_end. A step attempt is one trial time of BDF; more than
-    `max_steps` attempts, a failed BDF step or a snapshot beyond the
+    MAX_STEP_ATTEMPTS attempts, a failed BDF step or a snapshot beyond the
     simplex clamp slack raise RuntimeError.
     """
     # written as the bounds that must hold, so that NaN fails them too
@@ -190,7 +191,7 @@ def integrate(
     n_accept = 0
     min_step, max_step = math.inf, 0.0
     while next_i < times.size:
-        if attempts > max_steps:
+        if attempts > MAX_STEP_ATTEMPTS:
             raise RuntimeError("step budget exhausted: system too stiff for method")
         message = solver.step()
         if solver.status == "failed":

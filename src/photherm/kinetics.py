@@ -98,7 +98,7 @@ class CouplingTables:
                 f"it was built for another dephasing_rate than {p.dephasing_rate!r}"
             )
         self.fermi = atoms.fermi_dirac(self.omega_atoms, p.temperature)
-        self.pump = atoms.pump_rate(self.omega_atoms, p.temperature, p)
+        self.pump = atoms.pump_rate(self.omega_atoms, p)
         self.W_colsum = self.Q.sum(axis=0) @ self.B
         self.a0 = self.rate_constant(self.Q @ self.B.sum(axis=1), self.W_colsum)
         self.b0 = self.pack(p.relaxation_rate * self.fermi + self.pump, np.zeros(nm))

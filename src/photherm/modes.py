@@ -37,6 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -117,16 +118,18 @@ class ModeTable:
 
     @classmethod
     def load(cls, path: str | Path, params: PhysicalParams) -> "ModeTable | None":
-        """The table saved at `path` for params, or None when the file was
-        saved under another CENSUS_VERSION or for another census geometry."""
-        with np.load(path) as data:
-            if (
-                "census_version" not in data
-                or int(data["census_version"]) != CENSUS_VERSION
-                or not np.array_equal(data["geometry"], params.census_geometry())
-            ):
-                return None
-            return cls(data["omega"], data["gamma_conf"], data["m_peak"], params)
+        """The table saved at `path` for params, or None (a cache miss) when
+        the file is absent, empty, truncated or not a zip, or was saved under
+        another CENSUS_VERSION or for another census geometry."""
+        try:
+            # np.load leaves a file it opened itself open when zipfile raises
+            with open(path, "rb") as f, np.load(f) as data:
+                fresh = "census_version" in data and data["census_version"] == CENSUS_VERSION
+                if fresh and np.array_equal(data["geometry"], params.census_geometry()):
+                    return cls(data["omega"], data["gamma_conf"], data["m_peak"], params)
+        except (FileNotFoundError, EOFError, ValueError, zipfile.BadZipFile):
+            pass
+        return None
 
 
 # ----------------------------------------------------------------------

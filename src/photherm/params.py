@@ -188,35 +188,16 @@ class PhysicalParams:
 # presets and scaling
 # ----------------------------------------------------------------------
 
+# each regime's change from the PhysicalParams defaults, which are eq-strong
 PRESETS: dict[str, dict] = {
     # strong coupling, negligible photon loss
-    "eq-strong": dict(
-        relaxation_rate=1e13,
-        pump_amplitude=1e10,
-        atom_density=5e24,
-        photon_loss_rate=1e9,
-    ),
+    "eq-strong": {},
     # coupling reduced to 1%
-    "eq-weak": dict(
-        relaxation_rate=1e13,
-        pump_amplitude=1e10,
-        atom_density=5e22,
-        photon_loss_rate=1e9,
-    ),
+    "eq-weak": dict(atom_density=5e22),
     # strong coupling against strong photon loss
-    "eq-lossy": dict(
-        relaxation_rate=1e13,
-        pump_amplitude=1e10,
-        atom_density=5e24,
-        photon_loss_rate=5e12,
-    ),
+    "eq-lossy": dict(photon_loss_rate=5e12),
     # pumping comparable to thermal relaxation
-    "noneq": dict(
-        relaxation_rate=1e10,
-        pump_amplitude=1e10,
-        atom_density=5e24,
-        photon_loss_rate=1e9,
-    ),
+    "noneq": dict(relaxation_rate=1e10),
 }
 
 

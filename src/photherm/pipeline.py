@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import time
-import zipfile
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -33,7 +32,7 @@ import numpy as np
 from . import atoms, bands, kinetics, modes, spectra, steady
 from ._version import __version__
 from .csvio import read_csv, write_csv
-from .integrate import POINTS_PER_DECADE, integrate, load_solver
+from .integrate import ATOL, POINTS_PER_DECADE, RTOL, integrate, load_solver
 from .params import PhysicalParams
 
 MANIFEST_NAME = "run-manifest.json"
@@ -41,18 +40,19 @@ MANIFEST_NAME = "run-manifest.json"
 
 @dataclass(frozen=True)
 class StageOptions:
-    """Every stage option and its default, written nowhere else; an unknown
-    name is a TypeError.  Empty probe_freqs (rad/s) select the band-edge and
-    in-gap probe modes; seed_from and input name state snapshot files."""
+    """Every stage option and its default; rtol, atol, points_per_decade, tol
+    and n_samples take the defaults of the library parameters they feed.
+    An unknown name is a TypeError.  Empty probe_freqs (rad/s) select the
+    band-edge and in-gap probe modes; seed_from and input name state files."""
 
     # dynamics
     t_end: float = 1e-5
-    rtol: float = 1e-4
-    atol: float = 1e-14
+    rtol: float = RTOL
+    atol: float = ATOL
     points_per_decade: int = POINTS_PER_DECADE
     probe_freqs: tuple[float, ...] = ()
     # steady
-    tol: float = 1e-10
+    tol: float = steady.TOL
     seed_from: str | None = None
     # spectrum
     input: str | None = None
@@ -137,11 +137,7 @@ def load_or_solve_modes(
 ) -> tuple[modes.ModeTable, bool]:
     """Load the eigenmode census from the geometry-keyed cache, else solve."""
     cache = Path(out_dir) / "cache" / f"modes-{params.mode_cache_key()}.npz"
-    try:
-        table = modes.ModeTable.load(cache, params) if cache.exists() else None
-    except (EOFError, ValueError, zipfile.BadZipFile):  # empty, truncated, not a zip
-        table = None
-    if table is not None:
+    if (table := modes.ModeTable.load(cache, params)) is not None:
         return table, True
     table = modes.solve_modes(params)
     cache.parent.mkdir(parents=True, exist_ok=True)
@@ -368,11 +364,10 @@ def stage_spectrum(ctx: RunContext) -> list[Path]:
         return ctx.write(name, columns, kind=spectrum.kind, **meta)
 
     outputs = [write("spectrum.csv", det, gamma_d=gamma_d, source=source or "run")]
-    blackbody = None
+    temperature = ctx.params.temperature
     if opt.blackbody or opt.ratio:
-        blackbody = spectra.blackbody_1d(samples, ctx.params.temperature)
+        blackbody = spectra.blackbody_1d(samples, temperature)
     if opt.blackbody:
-        temperature = ctx.params.temperature
         outputs.append(write("spectrum-blackbody.csv", blackbody, temperature=temperature))
     if opt.ratio:
         ratio = spectra.spectral_ratio(det, blackbody)

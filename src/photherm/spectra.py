@@ -34,6 +34,7 @@ import numpy as np
 
 from .constants import BOLTZMANN, HBAR
 from .modes import ModeTable
+from .params import PhysicalParams
 
 KINDS = ("detector", "blackbody", "ratio")
 DEFAULT_N_SAMPLES = 2000
@@ -132,7 +133,7 @@ def emission_detector(
     photons: np.ndarray,
     table: ModeTable,
     omega_samples: np.ndarray | None = None,
-    gamma_d: float = 5e11,
+    gamma_d: float = PhysicalParams.detector_width,
 ) -> Spectrum:
     """Detector-convolved spectrum: peak-one Lorentzians summed over modes.
 

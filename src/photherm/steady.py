@@ -33,6 +33,7 @@ from .kinetics import (
     rhs,
 )
 
+TOL = 1e-10  # default bound on the scaled residual
 MAX_NEWTON_STEPS = 50
 MAX_HALVINGS = 10
 ELECTRON_GUESS_CAP = 0.499
@@ -100,8 +101,7 @@ def seed_guess(tables: CouplingTables) -> np.ndarray:
 def solve_steady(
     guess: np.ndarray,
     tables: CouplingTables,
-    tol: float = 1e-10,
-    max_newton: int = MAX_NEWTON_STEPS,
+    tol: float = TOL,
 ) -> SteadyResult:
     """Newton solve of rhs(state) = 0 starting from ``guess``.
 
@@ -135,7 +135,7 @@ def solve_steady(
     # its rhs = a * y + b; an accepted trial already is one, so the
     # coupling products are evaluated once per state
     y = None
-    for _ in range(max_newton):
+    for _ in range(MAX_NEWTON_STEPS):
         if res < tol:
             break
         if y is None:

@@ -96,21 +96,21 @@ class TestFermiDirac:
 
 class TestPumpRate:
     def test_at_center_equals_amplitude(self, full_params):
-        val = atoms.pump_rate(full_params.pump_center, 400.0, full_params)
+        val = atoms.pump_rate(full_params.pump_center, full_params)
         assert val == pytest.approx(full_params.pump_amplitude, rel=1e-14)
 
     def test_one_thermal_energy_above_center(self, full_params):
         om = full_params.pump_center + OMEGA_KT_400
-        val = atoms.pump_rate(om, 400.0, full_params)
+        val = atoms.pump_rate(om, full_params)
         assert val == pytest.approx(full_params.pump_amplitude / math.e, rel=1e-12)
 
     def test_zero_amplitude(self, full_params):
         p = full_params.replace(pump_amplitude=0.0)
         grid = atoms.build_grid(p)
-        assert np.all(atoms.pump_rate(grid, 400.0, p) == 0.0)
+        assert np.all(atoms.pump_rate(grid, p) == 0.0)
 
     def test_far_below_center_saturates_without_overflow(self, full_params):
-        val = atoms.pump_rate(1.0, 400.0, full_params)
+        val = atoms.pump_rate(1.0, full_params)
         assert np.isfinite(val)
 
     @given(st.floats(min_value=1e10, max_value=4.9e14),
@@ -121,9 +121,13 @@ class TestPumpRate:
         p = PhysicalParams()
         lo, hi = sorted((w1, w2))
         rel_drop = -math.expm1(-(hi - lo) / OMEGA_KT_400)
-        assert_decreasing(
-            atoms.pump_rate(lo, 400.0, p), atoms.pump_rate(hi, 400.0, p), rel_drop
-        )
+        assert_decreasing(atoms.pump_rate(lo, p), atoms.pump_rate(hi, p), rel_drop)
+
+    def test_temperature_comes_from_params(self, full_params):
+        # one thermal energy at 800 K is two at 400 K
+        hot = full_params.replace(temperature=800.0)
+        val = atoms.pump_rate(full_params.pump_center + 2.0 * OMEGA_KT_400, hot)
+        assert val == pytest.approx(full_params.pump_amplitude / math.e, rel=1e-12)
 
 
 class TestBoseEinstein:
@@ -137,6 +141,24 @@ class TestBoseEinstein:
     def test_thermal_energy_point(self):
         val = atoms.bose_einstein(OMEGA_KT_400, 400.0)
         assert val == pytest.approx(1.0 / (math.e - 1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        lambda w: atoms.fermi_dirac(w, 400.0),
+        lambda w: atoms.bose_einstein(w, 400.0),
+        lambda w: atoms.pump_rate(w, PhysicalParams()),
+    ],
+    ids=["fermi_dirac", "bose_einstein", "pump_rate"],
+)
+def test_scalar_in_float_out(law):
+    grid = np.array([1e13, 1e14, 3e14])
+    values = law(grid)
+    assert values.shape == grid.shape
+    for w, value in zip(grid, values):
+        assert type(law(float(w))) is float
+        assert law(float(w)) == value
 
 
 class TestCouplingConstants:

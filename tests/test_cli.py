@@ -10,6 +10,7 @@ import argparse
 import collections
 import dataclasses
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -23,9 +24,10 @@ import numpy as np
 import pytest
 
 import photherm
-from photherm import __version__, bands, kinetics, modes, pipeline
+from photherm import __version__, bands, kinetics, modes, pipeline, spectra, steady
 from photherm.cli import build_parser, main
 from photherm.csvio import read_csv, write_csv
+from photherm.integrate import integrate
 from photherm.params import apply_scale, preset
 from photherm.pipeline import StageOptions
 
@@ -580,6 +582,20 @@ class TestStageOptions:
             seen |= dests
         # and every option has a flag
         assert fields <= seen, fields - seen
+
+    @pytest.mark.parametrize(
+        "function, name",
+        [
+            (integrate, "rtol"),
+            (integrate, "atol"),
+            (integrate, "points_per_decade"),
+            (steady.solve_steady, "tol"),
+            (spectra.default_samples, "n_samples"),
+        ],
+    )
+    def test_defaults_are_the_library_defaults(self, function, name):
+        default = inspect.signature(function).parameters[name].default
+        assert getattr(StageOptions(), name) == default
 
     def test_run_records_every_resolved_option(self, tmp_path):
         assert main(["modes", "--out-dir", str(tmp_path), "--scale", "reduced"]) == 0

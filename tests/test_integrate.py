@@ -107,10 +107,12 @@ class TestValidation:
         with pytest.raises(RuntimeError):
             integrate(y0, 1e-12, reduced_tables, rtol=1e-6)
 
-    def test_step_budget(self, reduced_tables):
+    def test_step_budget(self, reduced_tables, monkeypatch):
+        module = importlib.import_module("photherm.integrate")
+        monkeypatch.setattr(module, "MAX_STEP_ATTEMPTS", 3)
         y0 = np.zeros(reduced_tables.n_freqs + reduced_tables.n_modes)
-        with pytest.raises(RuntimeError):
-            integrate(y0, 1e-6, reduced_tables, max_steps=3)
+        with pytest.raises(RuntimeError, match="step budget"):
+            integrate(y0, 1e-6, reduced_tables)
 
 
 class TestClosedFormLimits:

@@ -7,6 +7,7 @@ import shlex
 from pathlib import Path
 
 from photherm.cli import build_parser
+from photherm.params import PRESETS, preset
 from photherm.pipeline import StageOptions
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -48,3 +49,26 @@ def test_command_lines_parse():
     assert len(commands) == 5
     for argv in commands:
         build_parser().parse_args(argv[1:])
+
+
+def test_preset_table_matches_params():
+    # PRESETS holds each regime's change from the defaults; this table is
+    # the one place that lists every value
+    section = re.search(r"## Presets\n(.*?)\n\n", README.read_text(), re.S)
+    assert section, "README has no preset table"
+    header, _, *rows = [
+        [cell.strip(" `") for cell in line.strip("|").split("|")]
+        for line in section.group(1).strip().splitlines()
+    ]
+    fields = {
+        "Atom density": "atom_density",
+        "Relaxation": "relaxation_rate",
+        "Photon loss": "photon_loss_rate",
+        "Pump": "pump_amplitude",
+    }
+    assert sorted(row[0] for row in rows) == sorted(PRESETS)
+    for row in rows:
+        params = preset(row[0])
+        for column, cell in zip(header, row):
+            if column in fields:
+                assert getattr(params, fields[column]) == float(cell), (row[0], column)

@@ -150,6 +150,15 @@ class TestEmissionDetector:
         with pytest.raises(ValueError):
             spectra.emission_detector(np.array([0.1]), t, gamma_d=0.0)
 
+    def test_default_width_is_the_parameter_default(self):
+        t = toy([1e14, 2e14], [0.2, 0.5])
+        n = np.array([3.0, 1.0])
+        width = PhysicalParams().detector_width
+        assert np.array_equal(
+            spectra.emission_detector(n, t).value,
+            spectra.emission_detector(n, t, gamma_d=width).value,
+        )
+
 
 PROXY_RTOL = 1e-13
 GAMMAS = [1e-2, 1e9, 5e11, 1e13, 1e15]

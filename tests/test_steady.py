@@ -13,6 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from photherm import atoms, bands, kinetics, steady
 from photherm.integrate import integrate
@@ -64,12 +65,11 @@ class TestSolveSteady:
         assert res.converged
         assert res.iterations["newton"] <= 1
 
-    def test_newton_budget_flags_unconverged(self, reduced_tables):
+    def test_newton_budget_flags_unconverged(self, reduced_tables, monkeypatch):
         # the single pair converges in one exact step; the strong-damping
         # reduced system needs three from the analytic seed
-        res = steady.solve_steady(
-            steady.seed_guess(reduced_tables), reduced_tables, tol=TOL, max_newton=1
-        )
+        monkeypatch.setattr(steady, "MAX_NEWTON_STEPS", 1)
+        res = steady.solve_steady(steady.seed_guess(reduced_tables), reduced_tables, tol=TOL)
         assert not res.converged
         assert np.all(np.isfinite(res.state))
         assert len(res.history) == 2
@@ -165,6 +165,33 @@ def test_abstract_steady_trends(reduced_table, reduced_bands):
                   f"out-of-gap median {np.median(ratio[outside]):.4g}")
     assert np.all(np.diff(probe_ratio["atom_density"]) > 0.0)
     assert np.all(np.diff(probe_ratio["photon_loss_rate"]) < 0.0)
+
+
+def decades(lo: float, hi: float, zero: bool = False):
+    """10**e for e uniform in [lo, hi], and 0 too when zero is set."""
+    powers = st.floats(lo, hi).map(lambda e: 10.0**e)
+    return st.just(0.0) | powers if zero else powers
+
+
+@given(
+    relaxation_rate=decades(8.0, 15.0),
+    pump_amplitude=decades(6.0, 14.0, zero=True),
+    atom_density=decades(20.0, 26.0),
+    photon_loss_rate=decades(6.0, 14.0, zero=True),
+)
+@settings(max_examples=30, deadline=None)
+def test_solver_converges_or_says_so(reduced_tables, **rates):
+    """Away from the presets the solve either converges, with the exact
+    residual below tol too, or says it did not and keeps a finite state;
+    a ValueError is the only exception it may raise."""
+    t = dataclasses.replace(reduced_tables, params=reduced_tables.params.replace(**rates))
+    try:
+        res = steady.solve_steady(steady.seed_guess(t), t)
+    except ValueError:
+        return
+    assert np.all(np.isfinite(res.state)) and np.isfinite(res.residual_norm)
+    if res.converged:
+        assert steady.exact_residual(res.state, t) < steady.TOL
 
 
 @pytest.mark.parametrize("name", FULL_STEPS)
